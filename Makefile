@@ -69,10 +69,10 @@ load-smoke:
 	    --max-p99 10 --output load-local.json'
 
 # Local mirror of the CI session-smoke job: boot the server with
-# sessions on, run the scripted stream + conversation smoke (full-mode
-# byte parity over the wire, lifecycle round-trips, status codes), then
-# gate the quick bench's scoped-mode session pass (parity + amortized
-# speedup > 1x).  See docs/sessions.md.
+# sessions on, run the scripted stream + conversation smoke (byte
+# parity over the wire, lifecycle round-trips, status codes), then gate
+# the quick bench's session pass on byte parity with one-shot linking.
+# See docs/sessions.md.
 session-smoke:
 	@PYTHONPATH=src sh -ec ' \
 	python -m repro.cli serve --port 8766 --workers 2 --sessions \
@@ -83,7 +83,7 @@ session-smoke:
 	        2>/dev/null && break; sleep 1; \
 	done; \
 	python -m repro.bench.session_smoke --url http://127.0.0.1:8766; \
-	python -m repro.cli bench --quick --session --session-mode scoped \
+	python -m repro.cli bench --quick --session \
 	    --output session-local.json'
 
 clean:

@@ -26,7 +26,7 @@ Sub-packages:
 * ``repro.eval`` — metrics, runners, sparsity analysis, timing;
 * ``repro.service`` — the concurrent serving layer: request schema,
   cross-request caches, thread-pooled engine with deadlines and
-  micro-batching, metrics, and the ``tenet-repro serve`` HTTP server;
+  admission control, metrics, and the ``tenet-repro serve`` HTTP server;
 * ``repro.population`` / ``repro.qa`` — the downstream applications the
   paper motivates (KB population, question answering).
 """

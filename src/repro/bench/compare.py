@@ -51,11 +51,6 @@ class ComparisonResult:
     min_seconds: float
     deltas: List[StageDelta] = field(default_factory=list)
     skipped: List[str] = field(default_factory=list)
-    # Quality-parity failures from the current record's ``routing`` block
-    # (routed F1 drifting past its tolerance).  Unlike the timing deltas
-    # these are absolute checks on one record, not a diff — but they fail
-    # the same gate: speed bought with quality is a regression.
-    parity_failures: List[str] = field(default_factory=list)
 
     @property
     def regressions(self) -> List[StageDelta]:
@@ -67,7 +62,7 @@ class ComparisonResult:
 
     @property
     def ok(self) -> bool:
-        return not self.regressions and not self.parity_failures
+        return not self.regressions
 
     @property
     def worst(self) -> Optional[StageDelta]:
@@ -140,59 +135,21 @@ def _load_mode_of(report: Dict[str, object]) -> Optional[str]:
     return config.get("mode") if isinstance(config, dict) else None
 
 
-def _check_routing_parity(
-    report: Dict[str, object],
-    tolerance_override: Optional[float],
-    failures: List[str],
-) -> None:
-    """Fold the record's routing quality gate into the comparison.
-
-    The routing block records full-vs-routed F1 and its own tolerance;
-    *tolerance_override* re-judges the recorded deltas against a
-    different bar (``bench compare --routing-tolerance``) without
-    re-running the benchmark.
-    """
-    routing = report.get("routing")
-    if not isinstance(routing, dict):
-        return
-    parity = routing.get("parity")
-    if not isinstance(parity, dict):
-        return
-    if tolerance_override is None:
-        if parity.get("ok") is False:
-            failures.append(
-                "routing parity: routed F1 drifted "
-                f"{parity.get('max_abs_delta', 0.0):.4f} past tolerance "
-                f"{parity.get('tolerance', 0.0):.4f}"
-            )
-        return
-    delta = parity.get("max_abs_delta")
-    if isinstance(delta, (int, float)) and delta > tolerance_override:
-        failures.append(
-            f"routing parity: routed F1 drifted {float(delta):.4f} past "
-            f"tolerance {tolerance_override:.4f}"
-        )
-
-
 def compare_reports(
     baseline: Dict[str, object],
     current: Dict[str, object],
     threshold: float = 0.25,
     min_seconds: float = 0.001,
-    routing_tolerance: Optional[float] = None,
 ) -> ComparisonResult:
     """Stage-wise comparison of two parsed bench records.
 
     ``min_seconds`` is the noise floor: a stage whose mean is below it in
     *both* records is skipped — micro-stage jitter on fast hardware must
-    not fail CI.  When the current record carries a ``routing`` block,
-    its quality-parity verdict joins the gate (*routing_tolerance*
-    overrides the tolerance the block was recorded with).
+    not fail CI.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     result = ComparisonResult(threshold=threshold, min_seconds=min_seconds)
-    _check_routing_parity(current, routing_tolerance, result.parity_failures)
 
     base_scales = _scales_by_value(baseline)
     curr_scales = _scales_by_value(current)
@@ -259,18 +216,11 @@ def format_comparison(
         lines.append(f"  {marker} {delta.describe()}")
     if result.skipped:
         lines.append(f"  (skipped: {len(result.skipped)} metrics)")
-    for failure in result.parity_failures:
-        lines.append(f"  ! {failure}")
     if result.ok:
         lines.append("OK: no stage regressed past the threshold")
-    elif result.regressions:
-        worst = result.worst
-        lines.append(
-            f"FAIL: {len(result.regressions)} metric(s) regressed past "
-            f"{100 * result.threshold:.0f}% (worst: {worst.describe()})"
-        )
     else:
         lines.append(
-            f"FAIL: {len(result.parity_failures)} routing parity failure(s)"
+            f"FAIL: {len(result.regressions)} metric(s) regressed past "
+            f"{100 * result.threshold:.0f}% (worst: {result.worst.describe()})"
         )
     return "\n".join(lines)

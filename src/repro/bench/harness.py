@@ -7,21 +7,16 @@ repeats), aggregating the per-stage wall-clock record every
 graph, tree-cover solve, grouping, disambiguation.  On top of the
 per-stage view it measures:
 
-* **coherence comparison** — the batched (``E @ E.T``) concept-concept
-  similarity path against the retained scalar per-pair reference, at the
-  largest scale, verifying the two produce identical graphs (the
-  acceptance gate for the vectorised hot path);
 * **service throughput** — documents/second through a warm
   :class:`repro.service.LinkingService` worker pool, with the
-  cross-request LRU cache counters (candidate memo, similarity pair
-  cache, alias fuzzy memo) captured into the record;
+  cross-request cache counters (candidate memo, alias fuzzy memo,
+  batched-similarity calls) captured into the record;
 * **peak RSS** and an environment fingerprint, so records from
   different machines are never silently compared as equals.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import platform
@@ -36,7 +31,6 @@ import numpy as np
 
 from repro.bench.load import LoadConfig
 from repro.bench.schema import REPORT_KIND, SCHEMA_VERSION, summarize
-from repro.core.coherence import build_coherence_graph
 from repro.core.config import TenetConfig
 from repro.core.linker import LinkingContext, TenetLinker
 from repro.datasets.benchmarks import build_benchmark_suite
@@ -54,7 +48,6 @@ class BenchConfig:
     warmup: int = 1
     seed: int = 7
     service_workers: int = 4
-    scalar_baseline: bool = True
     # When set, add a deadline-mode pass: every document is linked with
     # this per-request deadline through a warm service, measuring the
     # degraded-path latency and the cooperative-cancellation counters.
@@ -73,25 +66,13 @@ class BenchConfig:
     # ``service_workers`` workers plus byte-parity of every result
     # payload against the single-process engine (the `cluster` block).
     cluster: bool = False
-    # Routing pass: link the largest-scale corpus once through the exact
-    # pipeline and once through the cover-mode router, recording how many
-    # documents took the fast path, the hot-stage (tree_cover +
-    # disambiguation) seconds of each, and the full-vs-routed F1 parity.
-    # ``routing_tolerance`` is the quality gate: the pass reports
-    # ``parity.ok = false`` (and ``bench compare`` fails) when any F1
-    # drifts further than this.
-    routing: bool = True
-    routing_tolerance: float = 0.005
     # Session pass: feed the largest-scale documents through streaming
     # sessions in deterministic K-chunk splits, measuring per-increment
     # latency against a full relink of the accumulated prefix, and gate
-    # on final-state parity with one-shot linking (byte-identical in
-    # "full" mode; within ``session_tolerance`` F1 in "scoped" mode,
-    # where the dirty-region re-solve is scoped).  The `session` block.
+    # on final-state byte parity with one-shot linking.  The `session`
+    # block.
     session: bool = False
     session_chunks: int = 4
-    session_mode: str = "full"
-    session_tolerance: float = 0.02
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -107,22 +88,9 @@ class BenchConfig:
             raise ValueError("service_workers must be >= 1")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError("deadline_seconds must be > 0")
-        if self.routing_tolerance < 0:
-            raise ValueError(
-                f"routing_tolerance must be >= 0, got {self.routing_tolerance}"
-            )
         if self.session_chunks < 2:
             raise ValueError(
                 f"session_chunks must be >= 2, got {self.session_chunks}"
-            )
-        if self.session_mode not in ("full", "scoped"):
-            raise ValueError(
-                f"session_mode must be 'full' or 'scoped', "
-                f"got {self.session_mode!r}"
-            )
-        if self.session_tolerance < 0:
-            raise ValueError(
-                f"session_tolerance must be >= 0, got {self.session_tolerance}"
             )
 
     @classmethod
@@ -175,32 +143,6 @@ def _peak_rss_kb() -> Optional[int]:
     if sys.platform == "darwin":  # pragma: no cover - ru_maxrss is bytes
         peak //= 1024
     return int(peak)
-
-
-def _coherence_kwargs(config: TenetConfig) -> Dict[str, object]:
-    """The coherence-graph knobs exactly as the linker passes them."""
-    return {
-        "predicate_similarity_scale": config.predicate_similarity_scale,
-        "prior_distance_floor": config.prior_distance_floor,
-        "coherence_prior_blend": config.coherence_prior_blend,
-        "prior_distance_curve": config.prior_distance_curve,
-        "max_neighbours": config.coherence_max_neighbours,
-    }
-
-
-def _graphs_match(a, b, tolerance: float = 1e-9) -> bool:
-    """Same edge set with weights within *tolerance*."""
-    def edge_map(graph) -> Dict[Tuple[str, str], float]:
-        edges = {}
-        for u, v, w in graph.edges():
-            ru, rv = repr(u), repr(v)
-            edges[(ru, rv) if ru <= rv else (rv, ru)] = w
-        return edges
-
-    left, right = edge_map(a.graph), edge_map(b.graph)
-    if left.keys() != right.keys():
-        return False
-    return all(abs(left[key] - right[key]) <= tolerance for key in left)
 
 
 def _measure_scale(
@@ -258,60 +200,6 @@ def _measure_scale(
         "documents_per_second": (len(texts) * repeats) / wall if wall else None,
         "stages": stages,
         "graph": graph,
-    }
-
-
-def _coherence_comparison(
-    linker: TenetLinker,
-    scale: float,
-    texts: List[str],
-    repeats: int,
-) -> Optional[Dict[str, object]]:
-    """Batched vs. scalar concept-edge construction at one scale.
-
-    Returns ``None`` when the installed ``build_coherence_graph`` has no
-    ``similarity_mode`` knob (pre-vectorisation trees), so old and new
-    revisions can both run the harness and their records stay comparable.
-    """
-    if "similarity_mode" not in inspect.signature(build_coherence_graph).parameters:
-        return None
-    kwargs = _coherence_kwargs(linker.config)
-    inputs = []
-    for text in texts:
-        extraction = linker.pipeline.extract(text)
-        inputs.append(linker.generator.generate(extraction).by_mention)
-
-    def best_pass(mode: str) -> float:
-        best = float("inf")
-        for _ in range(max(repeats, 1)):
-            started = time.perf_counter()
-            for by_mention in inputs:
-                build_coherence_graph(
-                    by_mention, linker.similarity, similarity_mode=mode, **kwargs
-                )
-            best = min(best, time.perf_counter() - started)
-        return best
-
-    parity = all(
-        _graphs_match(
-            build_coherence_graph(
-                by_mention, linker.similarity, similarity_mode="batch", **kwargs
-            ),
-            build_coherence_graph(
-                by_mention, linker.similarity, similarity_mode="scalar", **kwargs
-            ),
-        )
-        for by_mention in inputs
-    )
-    batch = best_pass("batch")
-    scalar = best_pass("scalar")
-    return {
-        "scale": scale,
-        "documents": len(inputs),
-        "batch_seconds": batch,
-        "scalar_seconds": scalar,
-        "speedup": scalar / batch if batch > 0 else None,
-        "parity": parity,
     }
 
 
@@ -597,96 +485,6 @@ def _load_mode(
     return block
 
 
-def _routing_mode(
-    context: LinkingContext,
-    linker_config: TenetConfig,
-    scale: float,
-    documents,
-    tolerance: float,
-) -> Dict[str, object]:
-    """Cover-mode router outcome plus the full-vs-routed parity gate.
-
-    Links the gold corpus once through the exact (tree-cover) pipeline
-    and once through the router, recording how many documents took the
-    pairwise fast path, the hot-stage (tree_cover + disambiguation)
-    seconds of each pass, and the entity/relation F1 of both against the
-    gold annotations.  ``parity.ok`` is false when any routed F1 drifts
-    further than *tolerance* from the full pipeline's — the quality gate
-    ``bench compare`` enforces.
-    """
-    from dataclasses import replace
-
-    from repro.eval.metrics import (
-        aggregate,
-        score_entity_linking,
-        score_relation_linking,
-    )
-
-    # Benchmark the router even when the configured mode is "exact":
-    # that mode's routing block would be trivially empty, and the gate
-    # exists to watch the fast path's quality.
-    routed_mode = (
-        linker_config.cover_mode if linker_config.cover_mode != "exact" else "auto"
-    )
-    full_linker = TenetLinker(context, replace(linker_config, cover_mode="exact"))
-    routed_linker = TenetLinker(
-        context, replace(linker_config, cover_mode=routed_mode)
-    )
-
-    def hot_seconds(result) -> float:
-        stage_seconds = result.stage_seconds
-        return stage_seconds.get("tree_cover", 0.0) + stage_seconds.get(
-            "disambiguation", 0.0
-        )
-
-    full_hot = routed_hot = 0.0
-    routed_fast = routed_exact = 0
-    full_entity, full_relation = [], []
-    routed_entity, routed_relation = [], []
-    for document in documents:
-        full = full_linker.link(document.text)
-        full_hot += hot_seconds(full)
-        full_entity.append(score_entity_linking(full, document))
-        full_relation.append(score_relation_linking(full, document))
-        routed = routed_linker.link(document.text)
-        routed_hot += hot_seconds(routed)
-        if routed.cover_mode == "fast":
-            routed_fast += 1
-        else:
-            routed_exact += 1
-        routed_entity.append(score_entity_linking(routed, document))
-        routed_relation.append(score_relation_linking(routed, document))
-
-    entity_full = aggregate(full_entity).f1
-    entity_routed = aggregate(routed_entity).f1
-    relation_full = aggregate(full_relation).f1
-    relation_routed = aggregate(routed_relation).f1
-    max_abs_delta = max(
-        abs(entity_full - entity_routed), abs(relation_full - relation_routed)
-    )
-    return {
-        "scale": scale,
-        "documents": len(documents),
-        "config": {
-            "cover_mode": routed_mode,
-            "fast_max_canopies": linker_config.fast_max_canopies,
-            "fast_max_mean_candidates": linker_config.fast_max_mean_candidates,
-        },
-        "routed_fast": routed_fast,
-        "routed_exact": routed_exact,
-        "hot_stage_seconds": {"full": full_hot, "routed": routed_hot},
-        "parity": {
-            "entity_f1_full": entity_full,
-            "entity_f1_routed": entity_routed,
-            "relation_f1_full": relation_full,
-            "relation_f1_routed": relation_routed,
-            "max_abs_delta": max_abs_delta,
-            "tolerance": tolerance,
-            "ok": max_abs_delta <= tolerance,
-        },
-    }
-
-
 def _trace_mode(
     linker: TenetLinker,
     scale: float,
@@ -731,14 +529,12 @@ def _trace_mode(
     }
 
 
-def _session_mode(
+def _session_pass(
     context: LinkingContext,
     linker_config: TenetConfig,
     scale: float,
     documents,
     chunks: int,
-    mode: str,
-    tolerance: float,
     seed: int,
 ) -> Dict[str, object]:
     """Incremental sessions vs. full relink-per-chunk, with a parity gate.
@@ -756,18 +552,17 @@ def _session_mode(
     ``workload_speedups`` summarises the per-workload ratios (the median
     is the drift-robust headline number).  The parity gate compares the
     session's final state against a one-shot link of the whole document:
-    in ``full`` mode the deterministic payloads must be
-    **byte-identical**; in ``scoped`` mode (dirty-region re-solve)
-    entity/relation F1 against gold must stay within *tolerance* of
-    one-shot.  ``parity.ok`` is the flag the CLI exits 1 on — drift here
-    means incremental reuse changed answers.
+    the deterministic payloads must be **byte-identical**, and the
+    entity/relation F1 of both against gold ride along.  ``parity.ok`` is
+    the flag the CLI exits 1 on — drift here means incremental reuse
+    changed answers.
     """
     from repro.eval.metrics import (
         aggregate,
         score_entity_linking,
         score_relation_linking,
     )
-    from repro.session import SessionConfig, StreamingSession
+    from repro.session import StreamingSession
     from repro.session.workloads import stream_chunkings
 
     linker = TenetLinker(context, linker_config)
@@ -788,7 +583,7 @@ def _session_mode(
     one_shot_entity, one_shot_relation = [], []
     incremental_entity, incremental_relation = [], []
     for workload in workloads:
-        session = StreamingSession(linker, SessionConfig(mode=mode))
+        session = StreamingSession(linker)
         inc_seconds = 0.0
         for chunk in workload.chunks:
             started = time.perf_counter()
@@ -839,15 +634,10 @@ def _session_mode(
         if incremental_stats["total"] > 0
         else None
     )
-    # The hard gate: byte parity in full mode, pinned F1 drift in scoped
-    # mode (where the dirty-region re-solve is allowed to differ in the
-    # last bits of BLAS sub-blocks but not in linking quality).
-    ok = byte_identical if mode == "full" else max_abs_delta <= tolerance
     return {
         "scale": scale,
         "documents": len(workloads),
         "chunks": chunks,
-        "mode": mode,
         "increments": len(incremental_latencies),
         "incremental_latency": incremental_stats,
         "full_relink_latency": full_relink_stats,
@@ -864,8 +654,7 @@ def _session_mode(
             "relation_f1_one_shot": relation_one_shot,
             "relation_f1_incremental": relation_incremental,
             "max_abs_delta": max_abs_delta,
-            "tolerance": tolerance,
-            "ok": ok,
+            "ok": byte_identical,
         },
     }
 
@@ -938,12 +727,6 @@ def run_benchmark(
         )
 
     largest = max(corpus_by_scale)
-    comparison = None
-    if config.scalar_baseline:
-        say(f"coherence batch-vs-scalar comparison at scale {largest:g} ...")
-        comparison = _coherence_comparison(
-            linker, largest, corpus_by_scale[largest], config.repeats
-        )
 
     say(
         f"service throughput at scale {largest:g} "
@@ -994,31 +777,18 @@ def run_benchmark(
         say(f"trace mode at scale {largest:g} ...")
         trace = _trace_mode(linker, largest, corpus_by_scale[largest])
 
-    routing = None
-    if config.routing:
-        say(f"routing pass at scale {largest:g} ...")
-        routing = _routing_mode(
-            context,
-            linker_config,
-            largest,
-            documents_by_scale[largest],
-            config.routing_tolerance,
-        )
-
     session = None
     if config.session:
         say(
             f"session pass at scale {largest:g} "
-            f"({config.session_chunks} chunks, {config.session_mode} mode) ..."
+            f"({config.session_chunks} chunks) ..."
         )
-        session = _session_mode(
+        session = _session_pass(
             context,
             linker_config,
             largest,
             documents_by_scale[largest],
             config.session_chunks,
-            config.session_mode,
-            config.session_tolerance,
             config.seed,
         )
 
@@ -1053,13 +823,8 @@ def run_benchmark(
             "deadline_seconds": config.deadline_seconds,
             "trace": config.trace,
             "load": config.load.to_json() if config.load is not None else None,
-            "routing": config.routing,
-            "routing_tolerance": config.routing_tolerance,
-            "cover_mode": linker_config.cover_mode,
             "session": config.session,
             "session_chunks": config.session_chunks,
-            "session_mode": config.session_mode,
-            "session_tolerance": config.session_tolerance,
         },
         "env": _env_fingerprint(),
         "context_build_seconds": context_build,
@@ -1068,8 +833,6 @@ def run_benchmark(
         "peak_rss_kb": _peak_rss_kb(),
         "total_seconds": time.perf_counter() - overall,
         "scales": scales,
-        "coherence_comparison": comparison,
-        "routing": routing,
         "service": service,
         "cluster": cluster,
         "deadline": deadline,
@@ -1118,28 +881,6 @@ def format_report_summary(report: Dict[str, object]) -> str:
         lines.append(
             f"scale {entry.get('scale'):g}: {entry.get('documents')} docs, "
             f"{dps:.1f} docs/s | " + " ".join(parts)
-        )
-    comparison = report.get("coherence_comparison")
-    if comparison:
-        lines.append(
-            f"coherence batch vs scalar: {comparison['speedup']:.2f}x speedup "
-            f"(parity={'ok' if comparison['parity'] else 'MISMATCH'})"
-        )
-    routing = report.get("routing")
-    if routing:
-        parity = routing.get("parity", {})
-        hot = routing.get("hot_stage_seconds", {})
-        full_hot, routed_hot = hot.get("full"), hot.get("routed")
-        speedup = (
-            f", hot-stage {full_hot / routed_hot:.2f}x"
-            if full_hot and routed_hot
-            else ""
-        )
-        lines.append(
-            f"routing ({routing.get('config', {}).get('cover_mode')}): "
-            f"{routing.get('routed_fast')}/{routing.get('documents')} fast"
-            f"{speedup} | F1 delta {parity.get('max_abs_delta', 0.0):.4f} "
-            f"(parity={'ok' if parity.get('ok') else 'FAIL'})"
         )
     service = report.get("service")
     if service:
@@ -1192,7 +933,7 @@ def format_report_summary(report: Dict[str, object]) -> str:
         ratios = session.get("workload_speedups") or {}
         median = ratios.get("p50")
         lines.append(
-            f"session ({session.get('mode')}, {session.get('chunks')} chunks): "
+            f"session ({session.get('chunks')} chunks): "
             f"{session.get('increments')} increments over "
             f"{session.get('documents')} docs | "
             f"incremental {1000 * incremental.get('mean', 0.0):.2f}ms vs "

@@ -3,7 +3,7 @@
 One benchmark run produces one JSON document::
 
     {
-      "schema_version": 2,
+      "schema_version": 5,
       "kind": "tenet-bench",
       "rev": "<git short rev or label>",
       "label": "<freeform run label>",
@@ -31,20 +31,6 @@ One benchmark run produces one JSON document::
                    "cover_edges": N}},
         ...
       ],
-      "coherence_comparison": {"scale": ..., "documents": N,
-                               "batch_seconds": ..., "scalar_seconds": ...,
-                               "speedup": ..., "parity": true} | null,
-      "routing": {"scale": ..., "documents": N,
-                  "config": {"cover_mode": "auto",
-                             "fast_max_canopies": N,
-                             "fast_max_mean_candidates": ...},
-                  "routed_fast": N, "routed_exact": N,
-                  "hot_stage_seconds": {"full": ..., "routed": ...},
-                  "parity": {"entity_f1_full": ..., "entity_f1_routed": ...,
-                             "relation_f1_full": ...,
-                             "relation_f1_routed": ...,
-                             "max_abs_delta": ..., "tolerance": ...,
-                             "ok": true}} | null,
       "service": {"scale": ..., "documents": N, "workers": N,
                   "wall_seconds": ..., "documents_per_second": ...,
                   "latency": {...}, "caches": {...}} | null,
@@ -79,27 +65,26 @@ One benchmark run produces one JSON document::
                            "p99_seconds": ..., "max_seconds": ...} | null
               } | null,
       "session": {"scale": ..., "documents": N, "chunks": N,
-                  "mode": "full" | "scoped", "increments": N,
+                  "increments": N,
                   "incremental_latency": {<stats>},
                   "full_relink_latency": {<stats>},
                   "amortized_speedup": ...,
                   "workload_speedups": {<stats>} | null,
                   "memo": {"hits": N, "misses": N},
-                  "solves": {"initial": N, "full": N, "scoped": N},
+                  "solves": {"initial": N, "full": N},
                   "parity": {"byte_identical": true,
                              "entity_f1_one_shot": ...,
                              "entity_f1_incremental": ...,
                              "relation_f1_one_shot": ...,
                              "relation_f1_incremental": ...,
-                             "max_abs_delta": ..., "tolerance": ...,
-                             "ok": true}} | null
+                             "max_abs_delta": ..., "ok": true}} | null
     }
 
 where ``<stats>`` is the :func:`summarize` block (count / total / mean /
 min / max / p50 / stdev, all in seconds).  The ``caches`` block carries
 the :mod:`repro.caching` LRU hit/miss/eviction counters (candidate
-memo, similarity pair cache, alias fuzzy memo) so cache efficacy is part
-of the recorded trajectory.
+memo, alias fuzzy memo) and the batched-similarity call counters, so
+cache efficacy is part of the recorded trajectory.
 
 ``schema_version`` is bumped whenever a field changes meaning; readers
 (:func:`repro.bench.compare.load_report`) refuse records from a newer
@@ -110,9 +95,11 @@ serving: docs/s per worker count, the 1-to-N scaling factor, and the
 byte-parity verdict against the single-process engine); version 4 added
 the ``session`` block (incremental feed latency vs. a full relink per
 chunk, the amortized speedup, and the chunked-vs-one-shot final-state
-parity gate — byte-identical in ``full`` mode, pinned F1 tolerance in
-``scoped``).  Older records remain readable — every added block is
-optional.
+byte-parity gate); version 5 dropped the ``routing`` block, the
+batch-vs-scalar coherence block, and the session block's ``mode`` and
+``parity.tolerance`` fields, along with the modes they described.
+Older records remain readable — every block is optional, and the
+validator no longer checks the dropped ones.
 """
 
 from __future__ import annotations
@@ -120,7 +107,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 REPORT_KIND = "tenet-bench"
 
 # Stage names the harness always times (via LinkingResult.stage_seconds,
@@ -250,23 +237,6 @@ def validate_report(payload: object) -> List[str]:
     if source == "snapshot" and snapshot is None:
         problems.append("context_source is 'snapshot' but snapshot block is null")
 
-    comparison = payload.get("coherence_comparison")
-    if comparison is not None:
-        if not isinstance(comparison, dict):
-            problems.append("coherence_comparison must be an object or null")
-        else:
-            for field in ("batch_seconds", "scalar_seconds", "speedup"):
-                if not _is_number(comparison.get(field)):
-                    problems.append(
-                        f"coherence_comparison: missing numeric {field!r}"
-                    )
-            if not isinstance(comparison.get("parity"), bool):
-                problems.append("coherence_comparison: missing parity flag")
-
-    routing = payload.get("routing")
-    if routing is not None:
-        _check_routing_block(routing, problems)
-
     service = payload.get("service")
     if service is not None:
         if not isinstance(service, dict):
@@ -329,51 +299,6 @@ def validate_report(payload: object) -> List[str]:
     return problems
 
 
-def _check_routing_block(routing: object, problems: List[str]) -> None:
-    """Schema of the cover-mode routing block (schema_version >= 2)."""
-    if not isinstance(routing, dict):
-        problems.append("routing must be an object or null")
-        return
-    if not isinstance(routing.get("documents"), int):
-        problems.append("routing: missing integer 'documents'")
-    for field in ("routed_fast", "routed_exact"):
-        if not isinstance(routing.get(field), int):
-            problems.append(f"routing: missing integer {field!r}")
-    config = routing.get("config")
-    if not isinstance(config, dict):
-        problems.append("routing: missing config block")
-    elif config.get("cover_mode") not in ("exact", "fast", "auto"):
-        problems.append(
-            "routing: config.cover_mode must be 'exact', 'fast', or "
-            f"'auto', got {config.get('cover_mode')!r}"
-        )
-    hot = routing.get("hot_stage_seconds")
-    if not isinstance(hot, dict):
-        problems.append("routing: missing hot_stage_seconds block")
-    else:
-        for field in ("full", "routed"):
-            if not _is_number(hot.get(field)):
-                problems.append(
-                    f"routing: hot_stage_seconds missing numeric {field!r}"
-                )
-    parity = routing.get("parity")
-    if not isinstance(parity, dict):
-        problems.append("routing: missing parity block")
-    else:
-        for field in (
-            "entity_f1_full",
-            "entity_f1_routed",
-            "relation_f1_full",
-            "relation_f1_routed",
-            "max_abs_delta",
-            "tolerance",
-        ):
-            if not _is_number(parity.get(field)):
-                problems.append(f"routing.parity: missing numeric {field!r}")
-        if not isinstance(parity.get("ok"), bool):
-            problems.append("routing.parity: missing ok flag")
-
-
 def _check_cluster_block(cluster: object, problems: List[str]) -> None:
     """Schema of the multi-process cluster block (schema_version >= 3)."""
     if not isinstance(cluster, dict):
@@ -429,11 +354,6 @@ def _check_session_block(session: object, problems: List[str]) -> None:
     for field in ("documents", "chunks", "increments"):
         if not isinstance(session.get(field), int):
             problems.append(f"session: missing integer {field!r}")
-    if session.get("mode") not in ("full", "scoped"):
-        problems.append(
-            f"session: mode must be 'full' or 'scoped', "
-            f"got {session.get('mode')!r}"
-        )
     for field in ("incremental_latency", "full_relink_latency"):
         _check_stats(session.get(field), f"session.{field}", problems)
     if not _is_number(session.get("amortized_speedup")):
@@ -462,7 +382,6 @@ def _check_session_block(session: object, problems: List[str]) -> None:
             "relation_f1_one_shot",
             "relation_f1_incremental",
             "max_abs_delta",
-            "tolerance",
         ):
             if not _is_number(parity.get(field)):
                 problems.append(f"session.parity: missing numeric {field!r}")

@@ -6,7 +6,7 @@ server through the session lifecycle end to end and fail loudly on any
 drift —
 
 * a **stream** session fed sentence chunks must end byte-identical to a
-  one-shot ``POST /link`` of the concatenated text (the full-mode
+  one-shot ``POST /link`` of the concatenated text (the session
   parity guarantee, checked over the wire rather than in-process);
 * a **conversation** session must accept newline-joined turns, report
   dense increments, and round-trip introspection and deletion

@@ -108,14 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-candidates", type=int, default=4, metavar="K"
     )
     link_parser.add_argument(
-        "--cover-mode",
-        choices=("exact", "fast", "auto"),
-        default="exact",
-        help="disambiguation path: exact = the paper's tree-cover "
-        "pipeline, fast = pairwise greedy (skips the cover), auto = "
-        "route low-ambiguity documents fast (tenet only)",
-    )
-    link_parser.add_argument(
         "--jsonl",
         action="store_true",
         help="batch mode: one document per input line, one result JSON "
@@ -134,13 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         metavar="K",
         help="chunks per streamed document (with --stream; default 4)",
-    )
-    link_parser.add_argument(
-        "--stream-mode",
-        choices=("full", "scoped"),
-        default="full",
-        help="session solve mode (with --stream): full = byte-parity "
-        "relink, scoped = dirty-region re-solve (default full)",
     )
     link_parser.add_argument(
         "--snapshot",
@@ -208,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the cross-request candidate/similarity caches",
+        help="disable the cross-request candidate cache",
     )
     serve_parser.add_argument(
         "--trace",
@@ -293,13 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="idle seconds before a session is evicted (default 600)",
-    )
-    serve_parser.add_argument(
-        "--session-mode",
-        choices=("full", "scoped"),
-        default=None,
-        help="session solve mode: full = byte-parity relink of the "
-        "accumulated text, scoped = dirty-region re-solve (default full)",
     )
 
     bench_parser = subparsers.add_parser(
@@ -400,32 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         "store; context_build_seconds then measures the snapshot load",
     )
     bench_parser.add_argument(
-        "--no-scalar-baseline",
-        action="store_true",
-        help="skip the batch-vs-scalar coherence comparison",
-    )
-    bench_parser.add_argument(
-        "--no-routing",
-        action="store_true",
-        help="skip the cover-mode routing pass (router counts + "
-        "full-vs-routed F1 parity gate)",
-    )
-    bench_parser.add_argument(
-        "--routing-tolerance",
-        type=float,
-        default=None,
-        metavar="F1",
-        help="max absolute F1 drift the routed pass may show against "
-        "the full pipeline (default 0.005)",
-    )
-    bench_parser.add_argument(
-        "--cover-mode",
-        choices=("exact", "fast", "auto"),
-        default="exact",
-        help="cover mode the timed passes run with (the routing pass "
-        "always benchmarks the router; default exact)",
-    )
-    bench_parser.add_argument(
         "--session",
         action="store_true",
         help="also run the incremental-session pass: stream each "
@@ -440,21 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="chunks per streamed document (default 4)",
-    )
-    bench_parser.add_argument(
-        "--session-mode",
-        choices=("full", "scoped"),
-        default=None,
-        help="session solve mode: full gates on byte-identical final "
-        "payloads, scoped on pinned F1 drift (default full)",
-    )
-    bench_parser.add_argument(
-        "--session-tolerance",
-        type=float,
-        default=None,
-        metavar="F1",
-        help="max absolute F1 drift scoped sessions may show against "
-        "one-shot linking (default 0.02)",
     )
     bench_sub = bench_parser.add_subparsers(dest="bench_command")
     bench_compare = bench_sub.add_parser(
@@ -479,14 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--warn-only",
         action="store_true",
         help="report regressions but always exit 0 (PR mode)",
-    )
-    bench_compare.add_argument(
-        "--routing-tolerance",
-        type=float,
-        default=None,
-        metavar="F1",
-        help="re-judge the current record's routing parity against this "
-        "F1 tolerance instead of the recorded one",
     )
     bench_load = bench_sub.add_parser(
         "load",
@@ -655,7 +584,7 @@ def _link_payload(linker, kb, text: str) -> Dict:
     return _result_payload(linker.link(text), kb, linker.name)
 
 
-def _link_stream(linker, kb, text: str, chunks: int, mode: str) -> int:
+def _link_stream(linker, kb, text: str, chunks: int) -> int:
     """``link --stream``: chunk the document through a session.
 
     Progress lines (one JSON object per increment: solve kind, mention
@@ -664,11 +593,11 @@ def _link_stream(linker, kb, text: str, chunks: int, mode: str) -> int:
     """
     import random
 
-    from repro.session import SessionConfig, StreamingSession
+    from repro.session import StreamingSession
     from repro.session.workloads import split_text
 
     parts = split_text(text, chunks, random.Random(0), sentence_aligned=True)
-    session = StreamingSession(linker, SessionConfig(mode=mode))
+    session = StreamingSession(linker)
     for part in parts:
         outcome = session.feed(part)
         print(
@@ -679,7 +608,6 @@ def _link_stream(linker, kb, text: str, chunks: int, mode: str) -> int:
                     "solve": outcome.solve,
                     "new_mentions": outcome.new_mentions,
                     "reused_mentions": outcome.reused_mentions,
-                    "dirty_mentions": outcome.dirty_mentions,
                     "elapsed_ms": round(1000 * outcome.elapsed_seconds, 3),
                 }
             ),
@@ -727,11 +655,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
     context, _snapshot_info = _resolve_context(args)
     if args.system == "tenet":
         linker = TenetLinker(
-            context,
-            TenetConfig(
-                max_candidates=args.max_candidates,
-                cover_mode=args.cover_mode,
-            ),
+            context, TenetConfig(max_candidates=args.max_candidates)
         )
     else:
         linker = SYSTEM_FACTORIES[args.system](
@@ -744,9 +668,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
         if args.jsonl:
             print("error: --stream and --jsonl are exclusive", file=sys.stderr)
             return 2
-        return _link_stream(
-            linker, context.kb, text.strip(), args.chunks, args.stream_mode
-        )
+        return _link_stream(linker, context.kb, text.strip(), args.chunks)
     if args.jsonl:
         # Batch mode: every non-empty input line is one document, linked
         # over the warm context built above, streamed as one JSON line.
@@ -800,8 +722,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         session_overrides["session_max_sessions"] = args.session_max
     if args.session_ttl is not None:
         session_overrides["session_ttl_seconds"] = args.session_ttl
-    if args.session_mode is not None:
-        session_overrides["session_mode"] = args.session_mode
     service_config = ServiceConfig(
         workers=args.workers,
         default_timeout_seconds=args.timeout,
@@ -894,7 +814,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             current,
             threshold=args.threshold,
             min_seconds=args.min_seconds,
-            routing_tolerance=args.routing_tolerance,
         )
         print(format_comparison(result, str(args.baseline), str(args.current)))
         if result.ok or args.warn_only:
@@ -918,8 +837,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         overrides["service_workers"] = args.workers
     if args.cluster:
         overrides["cluster"] = True
-    if args.no_scalar_baseline:
-        overrides["scalar_baseline"] = False
     if args.deadline is not None:
         overrides["deadline_seconds"] = args.deadline
     if args.trace:
@@ -933,18 +850,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             concurrency=args.load_concurrency,
             qps=args.load_qps,
         )
-    if args.no_routing:
-        overrides["routing"] = False
-    if args.routing_tolerance is not None:
-        overrides["routing_tolerance"] = args.routing_tolerance
     if args.session:
         overrides["session"] = True
     if args.session_chunks is not None:
         overrides["session_chunks"] = args.session_chunks
-    if args.session_mode is not None:
-        overrides["session_mode"] = args.session_mode
-    if args.session_tolerance is not None:
-        overrides["session_tolerance"] = args.session_tolerance
     if args.label:
         overrides["label"] = args.label
     overrides["seed"] = args.seed
@@ -952,7 +861,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     report = run_benchmark(
         config,
-        TenetConfig(cover_mode=args.cover_mode),
         echo=lambda line: print(f"# {line}"),
         snapshot_path=args.snapshot,
     )
@@ -964,20 +872,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     write_report(report, output)
     print(format_report_summary(report))
     print(f"wrote {output}")
-    comparison = report.get("coherence_comparison")
-    if comparison is not None and not comparison.get("parity", True):
-        print(
-            "error: batched and scalar coherence graphs diverged",
-            file=sys.stderr,
-        )
-        return 1
-    routing = report.get("routing")
-    if routing is not None and not routing.get("parity", {}).get("ok", True):
-        print(
-            "error: routed cover mode drifted past the F1 parity tolerance",
-            file=sys.stderr,
-        )
-        return 1
     cluster = report.get("cluster")
     if cluster is not None and not cluster.get("parity", {}).get("ok", True):
         print(

@@ -93,8 +93,6 @@ def build_coherence_graph(
     coherence_prior_blend: float = 0.06,
     prior_distance_curve: float = 0.5,
     max_neighbours: Optional[int] = 12,
-    similarity_mode: str = "batch",
-    precomputed_sims: Optional[np.ndarray] = None,
 ) -> CoherenceGraph:
     """Construct the knowledge coherence graph.
 
@@ -139,23 +137,6 @@ def build_coherence_graph(
         Exponent applied to (1 - P) before the floor mapping; values
         below 1 push mid-confidence priors toward the weak end of the
         scale (see inline comment at the construction site).
-    similarity_mode:
-        ``"batch"`` (default) computes all concept-concept similarities
-        as one ``E @ E.T`` matrix product via
-        :meth:`SimilarityIndex.batch_similarity`; ``"scalar"`` is the
-        per-pair reference path kept for parity tests and the benchmark
-        harness's batch-vs-scalar comparison.  Both produce the same
-        graph (weights agree to ~1e-15).
-    precomputed_sims:
-        Optional pre-built similarity matrix over the candidate nodes in
-        construction order (one row/column per node, same layout the
-        ``"batch"`` mode would compute).  Used by ``repro.session`` to
-        reuse similarity blocks across increments; when given it replaces
-        the ``similarity_mode`` computation entirely.  Values must match
-        what ``batch_similarity`` would return for the same ids — the
-        caller owns that contract (sessions only reuse rows computed by
-        the same store, so reused entries are bitwise-identical and new
-        entries are freshly computed).
     """
     graph = WeightedGraph()
     mentions = list(mention_candidates)
@@ -190,38 +171,8 @@ def build_coherence_graph(
         predicate_similarity_scale,
         coherence_prior_blend,
         max_neighbours,
-        similarity_mode,
-        precomputed_sims=precomputed_sims,
     )
     return CoherenceGraph(graph, mentions, candidates_by_mention, priors)
-
-
-def _scalar_similarity_matrix(
-    similarity: SimilarityIndex, concept_ids: List[str]
-) -> np.ndarray:
-    """Per-pair reference for :meth:`SimilarityIndex.batch_similarity`.
-
-    The O(n^2) scalar path the batched matrix product replaced — retained
-    so parity tests and the benchmark harness can pin the vectorised hot
-    path against it.  Matches the batch semantics: same-id pairs are
-    exactly 1, pairs with an id missing from the store are 0.
-    """
-    n = len(concept_ids)
-    store = similarity._store
-    known = [cid in store for cid in concept_ids]
-    sims = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        a = concept_ids[i]
-        for j in range(i, n):
-            b = concept_ids[j]
-            if a == b:
-                value = 1.0
-            elif known[i] and known[j]:
-                value = similarity.similarity(a, b)
-            else:
-                value = 0.0
-            sims[i, j] = sims[j, i] = value
-    return sims
 
 
 def _add_concept_edges(
@@ -233,8 +184,6 @@ def _add_concept_edges(
     predicate_similarity_scale: float,
     coherence_prior_blend: float,
     max_neighbours: Optional[int],
-    similarity_mode: str = "batch",
-    precomputed_sims: Optional[np.ndarray] = None,
 ) -> None:
     """Concept-concept edges, vectorised over all candidate pairs.
 
@@ -251,21 +200,7 @@ def _add_concept_edges(
     if n < 2:
         return
     concept_ids = [node.concept_id for node in all_nodes]
-    if precomputed_sims is not None:
-        if precomputed_sims.shape != (n, n):
-            raise ValueError(
-                f"precomputed_sims shape {precomputed_sims.shape} does not "
-                f"match {n} candidate nodes"
-            )
-        sims = precomputed_sims
-    elif similarity_mode == "batch":
-        sims = similarity.batch_similarity(concept_ids)
-    elif similarity_mode == "scalar":
-        sims = _scalar_similarity_matrix(similarity, concept_ids)
-    else:
-        raise ValueError(
-            f"similarity_mode must be 'batch' or 'scalar', got {similarity_mode!r}"
-        )
+    sims = similarity.batch_similarity(concept_ids)
 
     is_predicate = np.array([node.kind == "predicate" for node in all_nodes])
     predicate_pair = is_predicate[:, None] | is_predicate[None, :]
@@ -274,6 +209,10 @@ def _add_concept_edges(
     local = np.array([1.0 - priors[node] for node in all_nodes])
     blend = coherence_prior_blend * (local[:, None] + local[None, :])
     weights = np.clip(1.0 - sims + blend, 1e-9, max_concept_distance)
+    # Both are dead n x n float64 blocks; freed here, they are not held
+    # while the kNN step below allocates several more, which is the
+    # peak memory of linking a long document.
+    del sims, blend
 
     mention_index: Dict[Span, int] = {}
     mention_of = np.empty(n, dtype=np.int64)

@@ -43,33 +43,12 @@ class TenetConfig:
         kNN sparsification of the coherence graph: each candidate keeps
         only this many lightest admissible concept edges (``None`` for
         the dense graph; quality-neutral per the ablation).
-    coherence_similarity_mode:
-        ``"batch"`` (default) builds concept-concept edges from one
-        ``E @ E.T`` similarity block; ``"scalar"`` uses the per-pair
-        reference path (parity tests and the benchmark harness only —
-        output is identical, just slower).
     use_canopies:
         Ablation switch for the Sec. 5.1 mention-group/canopy machinery;
         off, every extracted span competes as its own singleton group.
     use_type_filter:
         Enables KB-driven mention typing (Sec. 3 Step 1's type filter)
         via :class:`repro.nlp.ner.MentionTyper`.
-    cover_mode:
-        Which disambiguation path the linker runs.  ``"exact"`` is the
-        paper's full pipeline (prune -> contract -> Kruskal -> decompose
-        -> split -> subtree matching, then the greedy scan over the
-        cover).  ``"fast"`` skips the tree cover entirely and runs the
-        same greedy scan pairwise over the whole coherence graph — the
-        Pair-Linking strategy the paper benchmarks against, much cheaper
-        but without the cover's coherence-relaxation guarantees.
-        ``"auto"`` routes per document: low-ambiguity documents (few
-        canopies, few candidates per mention — where the cover rarely
-        changes the answer) take the fast path, the rest the exact one.
-    fast_max_canopies / fast_max_mean_candidates:
-        The ``"auto"`` router's thresholds: a document is routed fast
-        only when its canopy count is at most ``fast_max_canopies`` AND
-        its mean candidate count per mention is at most
-        ``fast_max_mean_candidates``.
     """
 
     max_candidates: int = 4
@@ -83,35 +62,12 @@ class TenetConfig:
     coherence_prior_blend: float = 0.06
     prior_distance_curve: float = 0.5
     coherence_max_neighbours: Optional[int] = 12
-    coherence_similarity_mode: str = "batch"
     use_canopies: bool = True
     use_type_filter: bool = False
-    cover_mode: str = "exact"
-    fast_max_canopies: int = 6
-    fast_max_mean_candidates: float = 2.5
 
     def __post_init__(self) -> None:
         if self.max_candidates < 1:
             raise ValueError(f"max_candidates must be >= 1, got {self.max_candidates}")
-        if self.cover_mode not in ("exact", "fast", "auto"):
-            raise ValueError(
-                "cover_mode must be 'exact', 'fast', or 'auto', "
-                f"got {self.cover_mode!r}"
-            )
-        if self.fast_max_canopies < 0:
-            raise ValueError(
-                f"fast_max_canopies must be >= 0, got {self.fast_max_canopies}"
-            )
-        if self.fast_max_mean_candidates < 0:
-            raise ValueError(
-                "fast_max_mean_candidates must be >= 0, "
-                f"got {self.fast_max_mean_candidates}"
-            )
-        if self.coherence_similarity_mode not in ("batch", "scalar"):
-            raise ValueError(
-                "coherence_similarity_mode must be 'batch' or 'scalar', "
-                f"got {self.coherence_similarity_mode!r}"
-            )
         if self.tree_weight_bound is not None and self.tree_weight_bound <= 0:
             raise ValueError(
                 f"tree_weight_bound must be positive, got {self.tree_weight_bound}"

@@ -31,13 +31,6 @@ One addition beyond the paper's pseudo-code: a proposal is rejected when
 its mention overlaps an already-committed mention of a different group —
 this resolves noun/relation span conflicts (e.g. "sister city" inside
 "is the sister city of") in the same greedy spirit.
-
-Two entry points share the scan.  :func:`disambiguate` runs it over the
-tree-cover edges (the paper's exact mode); :func:`disambiguate_pairwise`
-runs the *same* scan directly over every coherence-graph edge — the
-pairwise greedy collective disambiguation of Pair-Linking, used by the
-linker's fast mode on low-ambiguity documents where deriving a cover
-first would not change the confident early decisions anyway.
 """
 
 from __future__ import annotations
@@ -46,10 +39,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.canopies import MentionGroup
-from repro.core.coherence import CandidateNode, CoherenceGraph
+from repro.core.coherence import CandidateNode
 from repro.core.deadline import Deadline
 from repro.core.tree_cover import TreeCoverResult
-from repro.graph.weighted_graph import WeightedGraph
 from repro.nlp.spans import Span
 
 _Node = Union[Span, CandidateNode]
@@ -139,45 +131,7 @@ def disambiguate(
     short at a budget still leaves the prior-only answer usable.
     """
     edges = _sorted_cover_edges(cover, extra_edges or [])
-    return _greedy_scan(
-        edges, cover.trees, groups, prior_link_threshold, deadline
-    )
-
-
-def disambiguate_pairwise(
-    coherence: CoherenceGraph,
-    groups: List[MentionGroup],
-    prior_link_threshold: float = 1.0,
-    deadline: Optional[Deadline] = None,
-) -> DisambiguationResult:
-    """Pair-Linking fast path: the greedy scan over the raw coherence graph.
-
-    Skips tree-cover derivation entirely: every coherence-graph edge —
-    local prior edges and concept-concept edges alike — feeds the scan
-    in the same non-decreasing-weight order the cover path uses.  This
-    is pairwise greedy collective disambiguation as in Pair-Linking
-    (Phan et al., PAPERS.md): the confident early decisions are made
-    from the lightest pairwise evidence directly, without paying for
-    prune/contract/Kruskal/decompose/split/matching first.  On
-    low-ambiguity documents those early edges are exactly the ones the
-    cover would have kept, so the answers coincide; the ambiguity
-    router in the linker decides when that bet is safe.
-    """
-    edges = _sorted_graph_edges(coherence.graph)
-    return _greedy_scan(
-        edges, coherence.mentions, groups, prior_link_threshold, deadline
-    )
-
-
-def _greedy_scan(
-    edges: List[Tuple[_Node, _Node, float]],
-    mentions,
-    groups: List[MentionGroup],
-    prior_link_threshold: float,
-    deadline: Optional[Deadline],
-) -> DisambiguationResult:
-    """The shared Algorithm 5 edge scan over a prepared edge list."""
-    state = _ScanState(mentions, groups)
+    state = _ScanState(cover.trees, groups)
     processed = 0
 
     for u, v, weight in edges:
@@ -222,7 +176,7 @@ def _greedy_scan(
 
 
 class _ScanState:
-    """Mutable state of one greedy scan, shared by both entry points.
+    """Mutable state of one greedy scan.
 
     Committed spans are indexed by token position (``claimed_tokens``)
     and all candidate spans by the tokens they cover
@@ -421,30 +375,6 @@ def _sorted_cover_edges(
     for u, v, weight in extra_edges:
         push(u, v, weight)
 
-    edges.sort(
-        key=lambda e: (e[2], _mention_length(e), repr_of(e[0]), repr_of(e[1]))
-    )
-    return edges
-
-
-def _sorted_graph_edges(
-    graph: WeightedGraph,
-) -> List[Tuple[_Node, _Node, float]]:
-    """Every graph edge in the scan order of the cover path.
-
-    The coherence graph stores each unordered pair once, so no
-    deduplication is needed — only the shared non-decreasing-weight
-    ordering with the long-mention tie-break.
-    """
-    reprs: Dict[_Node, str] = {}
-
-    def repr_of(node: _Node) -> str:
-        cached = reprs.get(node)
-        if cached is None:
-            cached = reprs[node] = repr(node)
-        return cached
-
-    edges = graph.edges()
     edges.sort(
         key=lambda e: (e[2], _mention_length(e), repr_of(e[0]), repr_of(e[1]))
     )

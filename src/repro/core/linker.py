@@ -22,11 +22,7 @@ from repro.core.canopies import Canopy, MentionGroup, build_mention_groups
 from repro.core.coherence import CandidateNode, CoherenceGraph, build_coherence_graph
 from repro.core.config import TenetConfig
 from repro.core.deadline import Deadline, DeadlineExceeded, PartialLinking
-from repro.core.disambiguation import (
-    DisambiguationResult,
-    disambiguate,
-    disambiguate_pairwise,
-)
+from repro.core.disambiguation import DisambiguationResult, disambiguate
 from repro.core.result import Link, LinkingResult
 from repro.core.tree_cover import TreeCoverResult, derive_tree_cover
 from repro.embeddings.similarity import SimilarityIndex
@@ -103,9 +99,7 @@ class LinkingDiagnostics:
     extraction: DocumentExtraction
     candidates: MentionCandidates
     coherence: CoherenceGraph
-    # None when the document was routed to the pairwise fast path (the
-    # tree-cover stage is skipped entirely in that mode).
-    cover: Optional[TreeCoverResult]
+    cover: TreeCoverResult
     groups: List[MentionGroup]
     disambiguation: DisambiguationResult
     result: LinkingResult
@@ -122,7 +116,7 @@ class LinkingDiagnostics:
 
     @property
     def cover_edge_count(self) -> int:
-        return 0 if self.cover is None else self.cover.total_edges
+        return self.cover.total_edges
 
 
 class TenetLinker:
@@ -348,7 +342,6 @@ class TenetLinker:
             coherence_prior_blend=self.config.coherence_prior_blend,
             prior_distance_curve=self.config.prior_distance_curve,
             max_neighbours=self.config.coherence_max_neighbours,
-            similarity_mode=self.config.coherence_similarity_mode,
         )
         cover = derive_tree_cover(coherence, self.config.tree_weight_bound)
         # In disambiguation-only mode every provided mention is its own
@@ -415,10 +408,6 @@ class TenetLinker:
         if deadline is not None:
             deadline.check("coherence")
         stage = time.perf_counter()
-        # No pair-cache precompute here: build_coherence_graph consumes
-        # the batched similarity matrix directly, so filling the scalar
-        # pair cache first would re-add the O(n^2) Python loop the
-        # batched path removed from this stage.
         coherence = build_coherence_graph(
             candidates.by_mention,
             self.similarity,
@@ -427,7 +416,6 @@ class TenetLinker:
             coherence_prior_blend=self.config.coherence_prior_blend,
             prior_distance_curve=self.config.prior_distance_curve,
             max_neighbours=self.config.coherence_max_neighbours,
-            similarity_mode=self.config.coherence_similarity_mode,
         )
         timings["coherence"] = time.perf_counter() - stage
         if trace is not None:
@@ -438,8 +426,6 @@ class TenetLinker:
                 edges=coherence.graph.edge_count,
                 mentions=coherence.mention_count,
             )
-        # Grouping runs before the tree cover so the "auto" router can
-        # see the canopy count before committing to the expensive path.
         if deadline is not None:
             deadline.check("grouping")
         stage = time.perf_counter()
@@ -463,50 +449,30 @@ class TenetLinker:
         timings["grouping"] = time.perf_counter() - stage
         if trace is not None:
             trace.record("grouping", timings["grouping"], groups=len(groups))
-        routed_fast = self._route_fast(coherence, groups)
-        if routed_fast:
-            # Fast path: pairwise greedy collective disambiguation (the
-            # Pair-Linking strategy) over the full coherence graph —
-            # prune/contract/Kruskal/decompose/split/matching all skipped.
-            cover: Optional[TreeCoverResult] = None
-            timings["tree_cover"] = 0.0
-            if trace is not None:
-                trace.record("tree_cover", 0.0, cover_edges=0, mode="fast")
-            if deadline is not None:
-                deadline.check("disambiguation")
-            stage = time.perf_counter()
-            disambiguation = disambiguate_pairwise(
-                coherence,
-                groups,
-                self.config.prior_link_threshold,
-                deadline=deadline,
+        if deadline is not None:
+            deadline.check("tree_cover")
+        stage = time.perf_counter()
+        cover = derive_tree_cover(
+            coherence, self.config.tree_weight_bound, deadline=deadline
+        )
+        timings["tree_cover"] = time.perf_counter() - stage
+        if trace is not None:
+            trace.record(
+                "tree_cover", timings["tree_cover"],
+                cover_edges=cover.total_edges,
             )
-        else:
-            if deadline is not None:
-                deadline.check("tree_cover")
-            stage = time.perf_counter()
-            cover = derive_tree_cover(
-                coherence, self.config.tree_weight_bound, deadline=deadline
-            )
-            timings["tree_cover"] = time.perf_counter() - stage
-            if trace is not None:
-                trace.record(
-                    "tree_cover", timings["tree_cover"],
-                    cover_edges=cover.total_edges,
-                )
-            if deadline is not None:
-                deadline.check("disambiguation")
-            stage = time.perf_counter()
-            disambiguation = disambiguate(
-                cover,
-                groups,
-                self.config.prior_link_threshold,
-                extra_edges=self._shared_edges(coherence, cover.bound),
-                deadline=deadline,
-            )
+        if deadline is not None:
+            deadline.check("disambiguation")
+        stage = time.perf_counter()
+        disambiguation = disambiguate(
+            cover,
+            groups,
+            self.config.prior_link_threshold,
+            extra_edges=self._shared_edges(coherence, cover.bound),
+            deadline=deadline,
+        )
         timings["disambiguation"] = time.perf_counter() - stage
         result = self._to_result(disambiguation, candidates)
-        result.cover_mode = "fast" if routed_fast else "exact"
         if trace is not None:
             trace.record(
                 "disambiguation",
@@ -514,7 +480,6 @@ class TenetLinker:
                 entity_links=len(result.entity_links),
                 relation_links=len(result.relation_links),
                 non_linkable=len(result.non_linkable),
-                mode=result.cover_mode,
             )
         return LinkingDiagnostics(
             extraction=extraction,
@@ -525,33 +490,6 @@ class TenetLinker:
             disambiguation=disambiguation,
             result=result,
         )
-
-    def _route_fast(
-        self, coherence: CoherenceGraph, groups: List[MentionGroup]
-    ) -> bool:
-        """Decide whether this document takes the pairwise fast path.
-
-        ``"auto"`` sends a document fast only when it is short AND
-        low-ambiguity: few canopies (little structural ambiguity for the
-        cover to arbitrate) and few candidates per mention (little
-        lexical ambiguity for coherence relaxation to resolve).  On such
-        documents the tree cover almost never changes the greedy scan's
-        answer, so skipping it trades nothing measurable for the
-        pipeline's dominant cost.
-        """
-        mode = self.config.cover_mode
-        if mode == "exact":
-            return False
-        if mode == "fast":
-            return True
-        canopy_count = sum(len(group.canopies) for group in groups)
-        if canopy_count > self.config.fast_max_canopies:
-            return False
-        mentions = coherence.mention_count
-        if mentions == 0:
-            return True
-        mean_candidates = coherence.concept_node_count / mentions
-        return mean_candidates <= self.config.fast_max_mean_candidates
 
     def _to_result(
         self,

@@ -47,11 +47,6 @@ class LinkingResult:
     # the timings it is run metadata, not part of the linking answer, so
     # it is excluded from equality and from the deterministic payload.
     aborted_stage: Optional[str] = field(default=None, compare=False)
-    # Which disambiguation path produced this result: "exact" (tree
-    # cover) or "fast" (pairwise greedy).  Run metadata like the
-    # timings — same document through either path may be the same
-    # answer — so excluded from equality and the deterministic payload.
-    cover_mode: Optional[str] = field(default=None, compare=False)
 
     @property
     def links(self) -> List[Link]:
@@ -121,8 +116,6 @@ class LinkingResult:
             payload["timings"] = dict(self.stage_seconds)
         if include_timings and self.aborted_stage is not None:
             payload["aborted_stage"] = self.aborted_stage
-        if include_timings and self.cover_mode is not None:
-            payload["cover_mode"] = self.cover_mode
         return payload
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -19,19 +19,25 @@ coherence tree cover of cost at most 4B, or fail with
     in (0, B]; each adopted subtree is connected through that shortest
     path.  An unmatched subtree again means B is too small.
 
-The paper sets B = |M| for linking (Sec. 6.1) — with distances bounded by
-1 this never fails; small explicit bounds exercise the failure path and
-the binary search (:func:`minimal_feasible_bound`).
+The paper sets B = |M| for linking (Sec. 6.1).  Distances are bounded
+by 1, so the contracted graph is always connected at that bound, but
+step (f) can still fail: a document with fewer mentions than split-off
+subtrees (one mention with several far-fetched candidates, say) has too
+few mentions to adopt them all.  With the default bound the derivation
+therefore doubles B until the cover succeeds, which it must once B
+exceeds the heaviest mention tree (nothing is split any more).  An
+explicit bound is taken as given: it raises on failure, which is what
+the binary search (:func:`minimal_feasible_bound`) probes.
 
 Steps (a)-(d) run over :class:`_CoverScaffold`, a flat integer-id edge
 array built once per coherence graph: pruning is a numpy mask, the
 contraction is implicit in how the arrays are laid out, and Kruskal runs
 over a precomputed deterministic edge order with an integer union-find.
-The object-graph reference implementation of steps (b) and (d)
-(:func:`_contract` / :func:`_decompose`) is retained — the scaffold
-reproduces its exact edge sequences (stream order, orientation and
-repr tie-breaking included), so the derived cover is byte-identical;
-the internals test suite pins the two against each other.  Step (f)
+The scaffold reproduces the edge sequences of the object-graph
+formulation (explicit contracted graph, object-keyed Kruskal) exactly —
+stream order, orientation and repr tie-breaking included — so the
+derived cover is byte-identical to it; the test suite keeps that
+formulation as an oracle and pins the two against each other.  Step (f)
 still builds the real pruned graph, but only lazily, in the rare case a
 split actually produced leftover subtrees.
 """
@@ -48,7 +54,6 @@ from repro.core.deadline import Deadline
 from repro.core.splitting import split_tree
 from repro.graph.matching import hopcroft_karp
 from repro.graph.mst import CHECK_EVERY as MST_CHECK_EVERY
-from repro.graph.mst import minimum_spanning_forest
 from repro.graph.paths import dijkstra
 from repro.graph.tree import RootedTree
 from repro.graph.weighted_graph import WeightedGraph
@@ -131,18 +136,25 @@ def derive_tree_cover(
 ) -> TreeCoverResult:
     """Run Algorithm 1 on *coherence* with bound B.
 
-    ``bound=None`` applies the paper's default B = |M|.  With a
+    ``bound=None`` applies the paper's default B = |M|, doubled until
+    the cover succeeds (see the module docstring); an explicit *bound*
+    raises :class:`BoundTooSmallError` when it is infeasible.  With a
     *deadline*, the Kruskal edge loop and the per-mention shortest-path
     sweep of step (f) — the two loops that dominate the solve — check
     the token cooperatively and raise
     :class:`~repro.core.deadline.DeadlineExceeded` on expiry.
     """
-    if bound is None:
-        bound = float(max(len(coherence.mentions), 1))
-    if bound <= 0:
+    if bound is not None and bound <= 0:
         raise ValueError(f"bound must be positive, got {bound}")
     scaffold = _CoverScaffold(coherence)
-    return _derive_with_scaffold(coherence, scaffold, bound, deadline)
+    if bound is not None:
+        return _derive_with_scaffold(coherence, scaffold, bound, deadline)
+    bound = float(max(len(coherence.mentions), 1))
+    while True:
+        try:
+            return _derive_with_scaffold(coherence, scaffold, bound, deadline)
+        except BoundTooSmallError:
+            bound *= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +177,7 @@ class _CoverScaffold:
     the minimal-bound binary search.
     """
 
-    def __init__(self, coherence: CoherenceGraph, sort: bool = True) -> None:
+    def __init__(self, coherence: CoherenceGraph) -> None:
         cand_ids: Dict[CandidateNode, int] = {}
         cands: List[CandidateNode] = []
         owners: List[Span] = []
@@ -217,22 +229,9 @@ class _CoverScaffold:
         # The deterministic Kruskal order, computed once.  Filtering a
         # stably sorted sequence equals sorting the filtered sequence,
         # so a bound never needs a re-sort — only the mask.
-        # ``sort=False`` defers the ordering so :func:`delta_scaffold`
-        # can derive it from a previous scaffold by merge instead.
-        if sort:
-            self.sorted_order = sorted(
-                range(len(edge_w)),
-                key=lambda k: (edge_w[k], reprs[edge_u[k]], reprs[edge_v[k]]),
-            )
-        else:
-            self.sorted_order = []
-
-    def edge_key(self, k: int) -> Tuple[float, str, str]:
-        """The Kruskal sort key of edge *k* (also its identity key)."""
-        return (
-            float(self.weights[k]),
-            self.reprs[self.edge_u[k]],
-            self.reprs[self.edge_v[k]],
+        self.sorted_order = sorted(
+            range(len(edge_w)),
+            key=lambda k: (edge_w[k], reprs[edge_u[k]], reprs[edge_v[k]]),
         )
 
     @property
@@ -261,93 +260,6 @@ class _CoverScaffold:
                 if components == 1:
                     return True
         return components == 1
-
-
-def build_cover_scaffold(coherence: CoherenceGraph) -> _CoverScaffold:
-    """Public constructor for the bound-independent cover scaffold.
-
-    One scaffold serves every bound probe on the same coherence graph;
-    :mod:`repro.session` also holds one across increments and advances
-    it with :func:`delta_scaffold` instead of rebuilding from scratch.
-    """
-    return _CoverScaffold(coherence)
-
-
-def delta_scaffold(
-    previous: _CoverScaffold, coherence: CoherenceGraph
-) -> _CoverScaffold:
-    """Advance a scaffold to a new coherence graph without a full re-sort.
-
-    The edge arrays are rebuilt fresh (linear in the edge count), but the
-    Kruskal ``sorted_order`` is derived by *merging* two already-sorted
-    sequences instead of sorting everything: the edges that survive from
-    *previous* (filtered through its old sorted order) and the newly
-    added edges (sorted among themselves).  Because the sort key *is*
-    the identity key ``(weight, repr_u, repr_v)`` and equal keys are
-    matched between old and new scaffolds in emission order, the merged
-    order is byte-identical to the fresh stable sort — pinned by the
-    session test suite.  For a streaming increment that adds A edges to
-    an E-edge graph this is O(E + A log A) instead of O(E log E).
-    """
-    scaffold = _CoverScaffold(coherence, sort=False)
-    edge_count = len(scaffold.edge_u)
-    # New edge indices grouped by identity key, in emission order.
-    new_by_key: Dict[Tuple[float, str, str], List[int]] = {}
-    for k in range(edge_count):
-        new_by_key.setdefault(scaffold.edge_key(k), []).append(k)
-    # Walk the previous sorted order and claim matching new edges.  An
-    # equal-key run in the old order is contiguous (it is the sort key)
-    # and emission-ordered, so a per-key cursor realises the ordered
-    # multiset matching that keeps stable-sort ties correct.
-    cursors: Dict[Tuple[float, str, str], int] = {}
-    survivors: List[int] = []
-    matched = [False] * edge_count
-    for pk in previous.sorted_order:
-        key = previous.edge_key(pk)
-        bucket = new_by_key.get(key)
-        if bucket is None:
-            continue
-        cursor = cursors.get(key, 0)
-        if cursor >= len(bucket):
-            continue
-        nk = bucket[cursor]
-        cursors[key] = cursor + 1
-        survivors.append(nk)
-        matched[nk] = True
-    added = sorted(
-        (k for k in range(edge_count) if not matched[k]),
-        key=lambda k: (scaffold.edge_key(k), k),
-    )
-    # Merge the two sorted runs on (key, emission index) — exactly the
-    # comparison a stable sort over the full array resolves ties with.
-    merged: List[int] = []
-    i = j = 0
-    while i < len(survivors) and j < len(added):
-        a, b = survivors[i], added[j]
-        if (scaffold.edge_key(a), a) <= (scaffold.edge_key(b), b):
-            merged.append(a)
-            i += 1
-        else:
-            merged.append(b)
-            j += 1
-    merged.extend(survivors[i:])
-    merged.extend(added[j:])
-    scaffold.sorted_order = merged
-    return scaffold
-
-
-def derive_tree_cover_with_scaffold(
-    coherence: CoherenceGraph,
-    scaffold: _CoverScaffold,
-    bound: Optional[float] = None,
-    deadline: Optional[Deadline] = None,
-) -> TreeCoverResult:
-    """Run Algorithm 1 reusing a prebuilt (or delta-advanced) scaffold."""
-    if bound is None:
-        bound = float(max(len(coherence.mentions), 1))
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
-    return _derive_with_scaffold(coherence, scaffold, bound, deadline)
 
 
 def _find(parent: List[int], x: int) -> int:
@@ -449,119 +361,8 @@ def _derive_with_scaffold(
 
 
 # ---------------------------------------------------------------------------
-# object-graph reference steps (pinned against the scaffold by tests)
+# step (f)
 # ---------------------------------------------------------------------------
-
-def _contract(
-    coherence: CoherenceGraph, pruned: WeightedGraph, bound: float
-) -> Tuple[WeightedGraph, Dict[CandidateNode, Span]]:
-    """Build the contracted graph G' = ({r} u C, ...).
-
-    Each candidate node connects to the root with the weight of its own
-    mention edge (if that edge survived pruning); concept-concept edges
-    are carried over unchanged.  ``owner`` records which mention each
-    root edge decomposes back to.
-    """
-    contracted = WeightedGraph()
-    contracted.add_node(MAJOR_ROOT)
-    owner: Dict[CandidateNode, Span] = {}
-    for mention, nodes in coherence.candidates_by_mention.items():
-        for node in nodes:
-            contracted.add_node(node)
-            weight = pruned.get_weight(mention, node)
-            if weight is not None:
-                contracted.add_edge(MAJOR_ROOT, node, weight)
-                owner[node] = mention
-    for u, v, w in pruned.edges():
-        if isinstance(u, CandidateNode) and isinstance(v, CandidateNode):
-            contracted.add_edge(u, v, w)
-    return contracted, owner
-
-
-def _decompose(
-    coherence: CoherenceGraph,
-    mst: WeightedGraph,
-    owner: Dict[CandidateNode, Span],
-) -> Dict[Span, RootedTree]:
-    """Step (d): replace the major root by the mention nodes.
-
-    Every component of MST - r hangs off r through exactly one edge
-    (otherwise the MST would contain a cycle), so each component belongs
-    to the mention owning that edge.  Mentions with several root edges
-    adopt several components; mentions with none keep a singleton tree.
-    """
-    trees: Dict[Span, RootedTree] = {
-        mention: RootedTree(mention) for mention in coherence.mentions
-    }
-    if MAJOR_ROOT not in mst:
-        return trees
-    root_edges = list(mst.neighbours(MAJOR_ROOT).items())
-    without_root = mst.copy()
-    without_root.remove_node(MAJOR_ROOT)
-    for anchor, weight in root_edges:
-        mention = owner[anchor]
-        tree = trees[mention]
-        tree.add_edge(mention, anchor, weight)
-        _graft_component(tree, without_root, anchor)
-    return trees
-
-
-def _graft_component(
-    tree: RootedTree, forest: WeightedGraph, anchor: CandidateNode
-) -> None:
-    """Copy the forest component reachable from *anchor* into *tree*."""
-    stack = [anchor]
-    visited = {anchor}
-    while stack:
-        node = stack.pop()
-        for neighbour, weight in sorted(
-            forest.neighbours(node).items(), key=lambda kv: repr(kv[0])
-        ):
-            if neighbour in visited or neighbour in tree:
-                continue
-            visited.add(neighbour)
-            tree.add_edge(node, neighbour, weight)
-            stack.append(neighbour)
-
-
-def derive_tree_cover_reference(
-    coherence: CoherenceGraph,
-    bound: Optional[float] = None,
-    deadline: Optional[Deadline] = None,
-) -> TreeCoverResult:
-    """Algorithm 1 over the object-graph reference steps.
-
-    The pre-scaffold implementation, kept for the parity tests that pin
-    the scaffold's byte-identity: eager pruned copy, explicit contracted
-    :class:`WeightedGraph`, object-keyed Kruskal.
-    """
-    if bound is None:
-        bound = float(max(len(coherence.mentions), 1))
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
-    check = None if deadline is None else (lambda: deadline.check("tree_cover"))
-
-    pruned = coherence.graph.pruned(bound)
-    contracted, owner = _contract(coherence, pruned, bound)
-    mst = minimum_spanning_forest(contracted, check=check)
-    if contracted.node_count > 0 and mst.edge_count != contracted.node_count - 1:
-        raise BoundTooSmallError(
-            f"contracted coherence graph is disconnected at B={bound}"
-        )
-    raw_trees = _decompose(coherence, mst, owner)
-
-    trees: Dict[Span, RootedTree] = {}
-    leftover_subtrees: List[RootedTree] = []
-    for mention, tree in raw_trees.items():
-        leftover, subtrees = split_tree(tree, bound)
-        trees[mention] = leftover
-        leftover_subtrees.extend(subtrees)
-
-    if not leftover_subtrees:
-        return TreeCoverResult(trees, bound, 0)
-    _attach_subtrees(coherence, pruned, trees, leftover_subtrees, bound, check)
-    return TreeCoverResult(trees, bound, len(leftover_subtrees))
-
 
 def _attach_subtrees(
     coherence: CoherenceGraph,
@@ -652,7 +453,7 @@ def minimal_feasible_bound(
 
     The approximation guarantee then gives a cover of cost at most 4B*
     with B* <= the optimum cover cost.  Used by the ablation benchmarks;
-    the production linker keeps the paper's B = |M|.
+    the production linker keeps the paper's B = |M| (doubled on failure).
 
     One :class:`_CoverScaffold` — the sorted edge array, cached reprs
     and union-find id space — is shared by every probe: each probe

@@ -3,8 +3,8 @@
 The paper notes (Sec. 6.2, efficiency discussion) that semantic
 relatedness between concept pairs is pre-computed/indexed so that
 retrieving one coherence-graph edge costs O(1).  :class:`SimilarityIndex`
-provides exactly that: an unordered-pair cache in front of the embedding
-store for scalar lookups (the baselines' access pattern), plus
+provides exactly that: an unordered-pair dict cache in front of the
+embedding store for scalar lookups (the baselines' access pattern), plus
 :meth:`SimilarityIndex.batch_similarity` — one ``E @ E.T`` block over a
 single gathered row matrix — which is what the coherence-graph
 construction uses instead of O(n^2) per-pair calls.
@@ -13,14 +13,11 @@ construction uses instead of O(n^2) per-pair calls.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.caching import LRUCache
 from repro.embeddings.store import EmbeddingStore
-
-_MISSING = object()
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -36,20 +33,13 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 class SimilarityIndex:
     """Cached pairwise semantic distance over an embedding store.
 
-    By default the pair cache is an unbounded dict (the paper's
-    per-document precomputation).  A long-lived serving process can
-    instead inject a bounded, thread-safe :class:`repro.caching.LRUCache`
-    so the cache survives across requests without growing forever;
-    values are identical either way.
+    The scalar pair cache is an unbounded dict (the paper's per-document
+    precomputation); only the scalar :meth:`similarity` fills it.
     """
 
-    def __init__(
-        self,
-        store: EmbeddingStore,
-        cache: Optional[LRUCache] = None,
-    ) -> None:
+    def __init__(self, store: EmbeddingStore) -> None:
         self._store = store
-        self._cache: Union[dict, LRUCache] = cache if cache is not None else {}
+        self._cache: Dict[Tuple[str, str], float] = {}
         # Monotonic counters of the batched path (surfaced by the bench
         # harness next to the LRU hit/miss stats).  The index is shared
         # across service workers, so the increments take a lock: a bare
@@ -69,8 +59,8 @@ class SimilarityIndex:
         if a == b:
             return 1.0
         key = self._key(a, b)
-        value = self._cache.get(key, _MISSING)
-        if value is _MISSING:
+        value = self._cache.get(key)
+        if value is None:
             value = self._store.cosine(a, b)
             self._cache[key] = value
         return value
@@ -111,28 +101,6 @@ class SimilarityIndex:
     def batch_distance(self, concept_ids: Sequence[str]) -> np.ndarray:
         """``1 - batch_similarity`` (the paper's global semantic distance)."""
         return 1.0 - self.batch_similarity(concept_ids)
-
-    def precompute(self, concept_ids: Iterable[str]) -> None:
-        """Bulk-fill the pair cache for every unordered pair of *concept_ids*.
-
-        Mirrors the paper's pre-computation of all pairwise relatedness
-        for the concepts appearing in one document.  The values come
-        from :meth:`batch_similarity`, so a later scalar lookup hits the
-        cache with exactly the number the batched path would produce.
-        Only callers that keep issuing scalar lookups (the baselines)
-        benefit; TENET's graph construction consumes the matrix
-        directly and never needs this.
-        """
-        ids: List[str] = [
-            cid for cid in dict.fromkeys(concept_ids) if cid in self._store
-        ]
-        if len(ids) < 2:
-            return
-        sims = self.batch_similarity(ids)
-        for i, a in enumerate(ids):
-            row = sims[i]
-            for j in range(i + 1, len(ids)):
-                self._cache[self._key(a, ids[j])] = float(row[j])
 
     def batch_stats(self) -> dict:
         """JSON-compatible counters of the batched matrix path."""

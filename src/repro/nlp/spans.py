@@ -75,7 +75,7 @@ class Span:
                 f"empty span [{self.token_start}, {self.token_end}) for {self.text!r}"
             )
         # Spans key nearly every dict/set on the linking hot path
-        # (candidate maps, coherence nodes, session dirty regions); the
+        # (candidate maps, coherence nodes, session mention diffs); the
         # generated dataclass hash re-hashes the 6-tuple every call, so
         # cache it once.  Same tuple as the generated implementation —
         # the compare=True fields in declaration order.

@@ -1,11 +1,10 @@
 """Concurrent linking service layer (serving subsystem).
 
 Turns the one-shot :class:`repro.core.linker.TenetLinker` into a
-long-lived service: typed request/response schema, bounded caches that
-amortise candidate generation and similarity lookups across requests, a
-thread-pooled engine with micro-batching / per-request deadlines /
-graceful degradation, process metrics, and a stdlib-only JSON-over-HTTP
-server (``tenet-repro serve``).
+long-lived service: typed request/response schema, a bounded cache that
+amortises candidate generation across requests, a thread-pooled engine
+with per-request deadlines / graceful degradation, process metrics, and
+a stdlib-only JSON-over-HTTP server (``tenet-repro serve``).
 """
 
 from repro.core.deadline import Deadline, DeadlineExceeded

@@ -7,9 +7,6 @@ service keeps between requests:
   lookups per normalised phrase (+ type filter / surface variants), so a
   mention repeated across documents is resolved against the alias index
   once;
-* **similarity** — replaces :class:`repro.embeddings.similarity.SimilarityIndex`'s
-  unbounded per-process dict with a bounded pair cache that survives
-  across requests without growing forever;
 * the **alias fuzzy memo** lives inside :class:`repro.kb.alias_index.AliasIndex`
   itself (it is useful to batch evaluation too); its stats are surfaced
   here alongside the rest.
@@ -26,23 +23,19 @@ from typing import Any, Dict, Optional
 
 from repro.caching import LRUCache, make_cache
 from repro.core.linker import TenetLinker
-from repro.embeddings.similarity import SimilarityIndex
 
 
 @dataclass(frozen=True)
 class LinkerCacheConfig:
-    """Sizes of the cross-request caches (0 disables one; ``enabled=False``
-    disables the whole bundle)."""
+    """Size of the cross-request candidate cache (0 or ``enabled=False``
+    disables it)."""
 
     enabled: bool = True
     candidate_cache_size: int = 8192
-    similarity_cache_size: int = 131072
 
     def __post_init__(self) -> None:
         if self.candidate_cache_size < 0:
             raise ValueError("candidate_cache_size must be >= 0")
-        if self.similarity_cache_size < 0:
-            raise ValueError("similarity_cache_size must be >= 0")
 
 
 class LinkerCaches:
@@ -51,10 +44,8 @@ class LinkerCaches:
     def __init__(self, config: LinkerCacheConfig = LinkerCacheConfig()) -> None:
         self.config = config
         self.candidates: Optional[LRUCache] = None
-        self.similarity: Optional[LRUCache] = None
         if config.enabled:
             self.candidates = make_cache(config.candidate_cache_size)
-            self.similarity = make_cache(config.similarity_cache_size)
 
     @classmethod
     def disabled(cls) -> "LinkerCaches":
@@ -62,12 +53,11 @@ class LinkerCaches:
 
     @property
     def enabled(self) -> bool:
-        return self.candidates is not None or self.similarity is not None
+        return self.candidates is not None
 
     def clear(self) -> None:
-        for cache in (self.candidates, self.similarity):
-            if cache is not None:
-                cache.clear()
+        if self.candidates is not None:
+            self.candidates.clear()
 
     def snapshot(self, linker: Optional[TenetLinker] = None) -> Dict[str, Any]:
         """JSON-compatible stats of every cache (all-zero when disabled).
@@ -80,14 +70,11 @@ class LinkerCaches:
         payload["candidates"] = (
             self.candidates.snapshot() if self.candidates is not None else None
         )
-        payload["similarity"] = (
-            self.similarity.snapshot() if self.similarity is not None else None
-        )
         if linker is not None:
             payload["alias_fuzzy"] = linker.context.alias_index.fuzzy_cache_stats()
-            # The batched E @ E.T path bypasses the pair cache by design;
-            # its call/pair counters sit next to the LRU stats so the
-            # bench trajectory sees both sides of the trade.
+            # Coherence similarities come from one batched E @ E.T block
+            # per document; its call/pair counters sit next to the cache
+            # stats.
             payload["similarity_batch"] = linker.similarity.batch_stats()
         return payload
 
@@ -95,14 +82,8 @@ class LinkerCaches:
 def attach_caches(linker: TenetLinker, caches: LinkerCaches) -> TenetLinker:
     """Wire a cache bundle into an already-built linker, in place.
 
-    The candidate memo is installed on the generator's injectable hook;
-    the similarity index is rebuilt around the bounded pair cache (same
-    embedding store, so values are identical).  Returns the linker for
-    chaining.
+    The candidate memo is installed on the generator's injectable hook.
+    Returns the linker for chaining.
     """
     linker.generator.cache = caches.candidates
-    if caches.similarity is not None:
-        linker.similarity = SimilarityIndex(
-            linker.context.embeddings, cache=caches.similarity
-        )
     return linker

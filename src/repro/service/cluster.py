@@ -30,8 +30,8 @@ Shape:
 * :class:`ClusterService` — a :class:`LinkingService` subclass whose
   :meth:`~ClusterService.handle` routes to a worker instead of linking
   inline.  Everything in front of ``handle`` — admission control, rate
-  limiting, degraded mode, deadlines, micro-batching, the HTTP server —
-  is inherited unchanged.
+  limiting, degraded mode, deadlines, the HTTP server — is inherited
+  unchanged.
 * :func:`create_cluster_service` — the factory behind
   ``serve --cluster`` / ``bench --cluster``: resolves (or builds) the
   snapshot, spawns the workers, waits for every ready handshake.
@@ -67,7 +67,7 @@ from repro.service.schema import LinkRequest, LinkResponse, ServiceError
 from repro.snapshot.store import SnapshotSpec, load_or_build, load_snapshot
 
 #: Start method: ``spawn`` is mandatory — the front end runs pool,
-#: batcher, admission, and reader threads, and forking a threaded
+#: admission, and reader threads, and forking a threaded
 #: process is undefined behaviour territory (inherited locks mid-hold).
 _MP_START_METHOD = "spawn"
 
@@ -650,10 +650,10 @@ class ClusterService(LinkingService):
     pipe to a worker picked least-loaded (consistent-hash tiebreak on
     the document id) and rehydrates the worker's
     :class:`~repro.service.schema.LinkResponse`.  Every request path —
-    ``link`` / ``submit`` / ``link_batch`` / the admitted HTTP paths —
-    funnels through ``handle``, so admission control, rate limiting,
-    deadline enforcement, micro-batching, and the shutdown-drain
-    contract are all inherited verbatim.
+    ``link`` / ``link_batch`` / the admitted HTTP paths — funnels
+    through ``handle``, so admission control, rate limiting, deadline
+    enforcement, and the shutdown-drain contract are all inherited
+    verbatim.
 
     The front end keeps its own warm context (from the same snapshot)
     for the degraded-mode prior-only fast path and caller-side deadline
@@ -733,14 +733,11 @@ class ClusterService(LinkingService):
         trace: Optional[Trace] = None,
     ) -> LinkResponse:
         started = time.perf_counter()
-        if deadline is None:
-            deadline = Deadline.after(self._timeout_for(request))
         if trace is None:
             trace = self.tracer.start(request.request_id)
-        if trace is not None:
-            queue_wait = max(0.0, trace.elapsed())
-            trace.record("queue_wait", queue_wait)
-            self.metrics.observe("latency.queue_wait", queue_wait)
+        self._observe_queue_wait(deadline, trace)
+        if deadline is None:
+            deadline = Deadline.after(self._timeout_for(request))
         self.metrics.incr("requests.total")
         if self._degraded_mode.active:
             # Overload valve stays front-end local: prior-only answers
@@ -870,10 +867,6 @@ class ClusterService(LinkingService):
         if response.aborted_stage is not None:
             self.metrics.incr("requests.cancelled")
             self.metrics.incr(f"stage.{response.aborted_stage}.aborted")
-        if response.result is not None:
-            cover_mode = response.result.get("cover_mode")
-            if cover_mode:
-                self.metrics.incr(f"cover_mode.{cover_mode}")
         return response
 
     def _worker_lost_response(

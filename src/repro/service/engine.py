@@ -23,14 +23,8 @@ Request paths:
 
 * :meth:`link` — synchronous, enforces the per-request deadline and
   degrades gracefully instead of erroring.
-* :meth:`submit` — fire-and-collect future; the deadline still travels
-  with the worker (cooperative only — nobody force-collects).
-* :meth:`link_batch` — one micro-batch through the pool, responses in
+* :meth:`link_batch` — one batch through the pool, responses in
   request order, every deadline anchored at submission.
-* :meth:`enqueue` — hands the request to the :class:`MicroBatcher`,
-  which coalesces queued singles into batches (size- or delay-bound)
-  before dispatch; useful for high-QPS callers that want batching
-  without assembling batches themselves.
 * :meth:`link_admitted` / :meth:`link_batch_admitted` / :meth:`admit` —
   the HTTP front end's paths: the same semantics, but behind the
   bounded two-lane admission queue, per-client token buckets, and
@@ -41,13 +35,12 @@ Request paths:
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.config import TenetConfig
 from repro.core.deadline import Deadline, DeadlineExceeded
@@ -83,10 +76,8 @@ from repro.service.schema import (
     SessionFeedResponse,
 )
 from repro.session import (
-    SESSION_MODES,
     ConversationSession,
     SessionClosedError,
-    SessionConfig,
     SessionError,
     SessionEvictedError,
     SessionManager,
@@ -104,8 +95,6 @@ class ServiceConfig:
 
     workers: int = 4
     default_timeout_seconds: Optional[float] = None
-    batch_max_size: int = 16
-    batch_max_delay_seconds: float = 0.005
     # After a deadline expires, how long the waiting caller gives the
     # cancelled worker to deliver its partial-based degraded response
     # before degrading caller-side (covers workers parked between two
@@ -120,8 +109,8 @@ class ServiceConfig:
     # Admission control / load shedding / degraded-mode watermarks (see
     # repro.service.overload).  Only the admitted request paths
     # (link_admitted / link_batch_admitted, i.e. the HTTP front end) go
-    # through the bounded queue; the in-process link/submit/link_batch
-    # APIs stay direct for trusted callers like the bench harness.
+    # through the bounded queue; the in-process link/link_batch APIs
+    # stay direct for trusted callers like the bench harness.
     overload: OverloadConfig = field(default_factory=OverloadConfig)
     # Stateful sessions (repro.session): off by default.  When enabled
     # the engine owns a SessionManager over the warm linker, so session
@@ -130,7 +119,6 @@ class ServiceConfig:
     sessions_enabled: bool = False
     session_max_sessions: int = 64
     session_ttl_seconds: float = 600.0
-    session_mode: str = "full"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -141,15 +129,6 @@ class ServiceConfig:
             )
         if self.session_ttl_seconds <= 0:
             raise ValueError("session_ttl_seconds must be positive")
-        if self.session_mode not in SESSION_MODES:
-            raise ValueError(
-                f"session_mode must be one of {SESSION_MODES}, "
-                f"got {self.session_mode!r}"
-            )
-        if self.batch_max_size < 1:
-            raise ValueError(f"batch_max_size must be >= 1, got {self.batch_max_size}")
-        if self.batch_max_delay_seconds < 0:
-            raise ValueError("batch_max_delay_seconds must be >= 0")
         if self.cancel_grace_seconds < 0:
             raise ValueError("cancel_grace_seconds must be >= 0")
         if self.trace_ring_size < 1:
@@ -197,11 +176,6 @@ class LinkingService:
         self._pool = ThreadPoolExecutor(
             max_workers=config.workers, thread_name_prefix="tenet-link"
         )
-        self._batcher = MicroBatcher(
-            self,
-            max_size=config.batch_max_size,
-            max_delay_seconds=config.batch_max_delay_seconds,
-        )
         # Overload layer: bounded two-lane admission queue in front of
         # the pool, per-client token buckets, and the degraded-mode
         # hysteresis switch fed by queue depth + rolling p95.
@@ -223,8 +197,8 @@ class LinkingService:
         self.metrics.set_gauge("admission.queue_depth", 0)
         self.metrics.set_gauge("degraded_mode.active", 0)
         # Stateful sessions: the manager shares the warm linker, so
-        # every session increment reuses the same candidate/similarity
-        # caches as /link.
+        # every session increment reuses the same candidate cache as
+        # /link.
         self.sessions: Optional[SessionManager] = None
         if config.sessions_enabled:
             self.sessions = SessionManager(
@@ -260,18 +234,17 @@ class LinkingService:
         tripped *deadline* comes back as the degraded prior-only answer
         built from the aborted run's partial state.
 
-        A *trace* started at submission (by :meth:`link` / :meth:`submit`
-        / :meth:`link_batch`) arrives here so the queue-wait — the gap
-        between submission and a worker picking the request up — is its
-        first span; when called directly, a fresh trace is started.
+        The queue wait — from the *deadline*'s anchor at submission to a
+        worker picking the request up — is observed on every request
+        that carries a deadline, traced or not.  A *trace* started at
+        submission (by :meth:`link` / :meth:`link_batch` / the admitted
+        paths) arrives here so the queue wait is its first span; when
+        called directly, a fresh trace is started.
         """
         started = time.perf_counter()
         if trace is None:
             trace = self.tracer.start(request.request_id)
-        if trace is not None:
-            queue_wait = max(0.0, trace.elapsed())
-            trace.record("queue_wait", queue_wait)
-            self.metrics.observe("latency.queue_wait", queue_wait)
+        self._observe_queue_wait(deadline, trace)
         cache_before = self._cache_counters() if trace is not None else None
         self.metrics.incr("requests.total")
         active = self.metrics.add_gauge("pool.active_workers", 1)
@@ -335,35 +308,6 @@ class LinkingService:
         except ServiceClosedError:
             return self._closed_response(request, deadline, trace)
         return self._await(request, deadline, future, trace)
-
-    def submit(
-        self, request: LinkRequest, deadline: Optional[Deadline] = None
-    ) -> "Future[LinkResponse]":
-        """Asynchronous variant: a future of the response.
-
-        The request's deadline (anchored here, at submission) rides
-        along and is enforced cooperatively by the worker itself — when
-        it trips, the future resolves with the degraded response.  No
-        caller-side wall-clock guard is applied; callers managing their
-        own deadlines can pass ``deadline`` explicitly or cancel it.
-        """
-        if deadline is None:
-            deadline = Deadline.after(self._timeout_for(request))
-        trace = self.tracer.start(request.request_id)
-        try:
-            return self._pool_submit(self.handle, request, deadline, trace)
-        except ServiceClosedError:
-            # Losing the race against shutdown resolves the future with
-            # the clean 503 envelope (never a raised RuntimeError) so
-            # fire-and-collect callers — notably the MicroBatcher's
-            # dispatch thread — stay hang- and crash-free.
-            resolved: "Future[LinkResponse]" = Future()
-            resolved.set_result(self._closed_response(request, deadline, trace))
-            return resolved
-
-    def enqueue(self, request: LinkRequest) -> "Future[LinkResponse]":
-        """Queue for micro-batched dispatch (see :class:`MicroBatcher`)."""
-        return self._batcher.enqueue(request)
 
     # ------------------------------------------------------------------
     # admitted request paths (what the HTTP front end calls)
@@ -589,10 +533,6 @@ class LinkingService:
         ]
         return BatchLinkResponse(tuple(responses))
 
-    def link_text(self, text: str) -> LinkingResult:
-        """Convenience: link raw text through the warm linker."""
-        return self.linker.link(text)
-
     # ------------------------------------------------------------------
     # introspection / lifecycle
     # ------------------------------------------------------------------
@@ -629,14 +569,11 @@ class LinkingService:
         payload["config"] = {
             "workers": self.config.workers,
             "default_timeout_seconds": self.config.default_timeout_seconds,
-            "batch_max_size": self.config.batch_max_size,
-            "batch_max_delay_seconds": self.config.batch_max_delay_seconds,
             "cancel_grace_seconds": self.config.cancel_grace_seconds,
             "cache_enabled": self.caches.enabled,
             "trace_enabled": self.tracer.enabled,
             "trace_ring_size": self.config.trace_ring_size,
             "sessions_enabled": self.config.sessions_enabled,
-            "session_mode": self.config.session_mode,
             "session_max_sessions": self.config.session_max_sessions,
             "session_ttl_seconds": self.config.session_ttl_seconds,
         }
@@ -650,12 +587,10 @@ class LinkingService:
         # Order matters: stop admitting first, so everything still
         # queued is rejected with the typed ServiceClosedError (which
         # waiting callers surface as a clean `unavailable` envelope —
-        # never a hang, never a silent drop); then the batcher (whose
-        # dispatch thread may still feed its final batch to the pool),
-        # then the pool (draining the in-flight work).  `_pool_open`
-        # flips under the lifecycle lock at the last moment, so any
-        # submission that won the lock first is safely inside the pool
-        # before shutdown begins.
+        # never a hang, never a silent drop); then the pool (draining
+        # the in-flight work).  `_pool_open` flips under the lifecycle
+        # lock at the last moment, so any submission that won the lock
+        # first is safely inside the pool before shutdown begins.
         rejected = self._admission.close()
         if rejected:
             self.metrics.incr("requests.rejected_on_close", rejected)
@@ -667,7 +602,6 @@ class LinkingService:
             if drained:
                 self.metrics.incr("session.drained_on_close", drained)
             self.metrics.set_gauge("sessions.active", 0)
-        self._batcher.close()
         with self._lifecycle:
             self._pool_open = False
         self._pool.shutdown(wait=True)
@@ -719,10 +653,9 @@ class LinkingService:
         )
 
     def _session_factory(self, kind: str):
-        session_config = SessionConfig(mode=self.config.session_mode)
         if kind == "conversation":
-            return ConversationSession(self.linker, session_config)
-        return StreamingSession(self.linker, session_config)
+            return ConversationSession(self.linker)
+        return StreamingSession(self.linker)
 
     def _handle_session_feed(
         self,
@@ -739,10 +672,7 @@ class LinkingService:
         previous increment, so the client can simply retry the chunk.
         """
         started = time.perf_counter()
-        if trace is not None:
-            queue_wait = max(0.0, trace.elapsed())
-            trace.record("queue_wait", queue_wait)
-            self.metrics.observe("latency.queue_wait", queue_wait)
+        self._observe_queue_wait(deadline, trace)
         cache_before = self._cache_counters() if trace is not None else None
         self.metrics.incr("requests.total")
         self.metrics.incr("session.feeds")
@@ -818,7 +748,6 @@ class LinkingService:
                     result=outcome.result.to_json(include_timings=False),
                     session_id=session_id,
                     kind=request.kind,
-                    mode=outcome.mode,
                     increment=outcome.increment,
                     created=created,
                     solve=outcome.solve,
@@ -1068,10 +997,6 @@ class LinkingService:
             self.metrics.incr("requests.degraded")
         else:
             self.metrics.incr("requests.completed")
-        if result.cover_mode is not None:
-            # Router observability: how many answers came from the exact
-            # tree-cover path vs. the pairwise fast path (/metrics).
-            self.metrics.incr(f"cover_mode.{result.cover_mode}")
         return LinkResponse(
             result=result.to_json(include_timings=False),
             request_id=request.request_id,
@@ -1157,16 +1082,23 @@ class LinkingService:
     # ------------------------------------------------------------------
     # observability plumbing
     # ------------------------------------------------------------------
+    def _observe_queue_wait(
+        self, deadline: Optional[Deadline], trace: Optional[Trace]
+    ) -> None:
+        """Observe the wait from admission (the deadline's anchor) to now."""
+        if deadline is None:
+            return
+        queue_wait = max(0.0, deadline.elapsed())
+        self.metrics.observe("latency.queue_wait", queue_wait)
+        if trace is not None:
+            trace.record("queue_wait", queue_wait)
+
     def _cache_counters(self) -> Dict[str, Tuple[int, int]]:
         """Current (hits, misses) of every cross-request cache."""
         counters: Dict[str, Tuple[int, int]] = {}
-        for name, cache in (
-            ("candidates", self.caches.candidates),
-            ("similarity", self.caches.similarity),
-        ):
-            if cache is not None:
-                stats = cache.stats
-                counters[name] = (stats.hits, stats.misses)
+        if self.caches.candidates is not None:
+            stats = self.caches.candidates.stats
+            counters["candidates"] = (stats.hits, stats.misses)
         fuzzy = self.linker.context.alias_index.fuzzy_cache_stats()
         counters["alias_fuzzy"] = (int(fuzzy["hits"]), int(fuzzy["misses"]))
         return counters
@@ -1241,127 +1173,3 @@ class LinkingService:
             cache=cache_delta,
             error_code=response.error.code if response.error else None,
         )
-
-
-class _QueuedRequest:
-    """One enqueued request awaiting micro-batch dispatch."""
-
-    __slots__ = ("request", "future")
-
-    def __init__(self, request: LinkRequest) -> None:
-        self.request = request
-        self.future: "Future[LinkResponse]" = Future()
-
-
-class MicroBatcher:
-    """Coalesces queued single requests into batches before dispatch.
-
-    A daemon dispatcher thread drains the queue: a batch closes when it
-    reaches ``max_size`` or when ``max_delay_seconds`` has passed since
-    its first request, whichever comes first — the standard
-    latency/throughput trade of serving systems.  Each batch is then
-    fanned out to the service's worker pool and every caller's future is
-    resolved with its own response.
-
-    ``enqueue`` and ``close`` share one lock so the shutdown sentinel is
-    always the *last* item the dispatch loop sees: an enqueue that has
-    passed the closed check cannot slip its item in behind the sentinel
-    and leave the caller's future forever unresolved.  As a second line
-    of defence the loop drains stragglers after the sentinel anyway,
-    failing them with :class:`ServiceClosedError`.
-    """
-
-    def __init__(
-        self,
-        service: LinkingService,
-        max_size: int = 16,
-        max_delay_seconds: float = 0.005,
-    ) -> None:
-        self._service = service
-        self.max_size = max_size
-        self.max_delay_seconds = max_delay_seconds
-        self._queue: "queue.Queue[Optional[_QueuedRequest]]" = queue.Queue()
-        self._lock = threading.Lock()
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._dispatch_loop, name="tenet-batcher", daemon=True
-        )
-        self._thread.start()
-
-    def enqueue(self, request: LinkRequest) -> "Future[LinkResponse]":
-        item = _QueuedRequest(request)
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("MicroBatcher is closed")
-            self._queue.put(item)
-        return item.future
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._queue.put(None)
-        self._thread.join(timeout=5.0)
-
-    # ------------------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                self._drain_after_close()
-                return
-            batch = [item]
-            deadline = time.monotonic() + self.max_delay_seconds
-            while len(batch) < self.max_size:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    extra = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if extra is None:
-                    self._dispatch(batch)
-                    self._drain_after_close()
-                    return
-                batch.append(extra)
-            self._dispatch(batch)
-
-    def _drain_after_close(self) -> None:
-        """Resolve anything found behind the shutdown sentinel.
-
-        With the shared enqueue/close lock this is unreachable in
-        practice, but a straggler must never be left with a pending
-        future — fail it with the typed shutdown error instead.
-        """
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is not None and item.future.set_running_or_notify_cancel():
-                item.future.set_exception(
-                    ServiceClosedError("MicroBatcher closed before dispatch")
-                )
-
-    def _dispatch(self, batch: List[_QueuedRequest]) -> None:
-        self._service.metrics.incr("batcher.batches")
-        self._service.metrics.incr("batcher.documents", len(batch))
-        self._service.metrics.observe("batcher.batch_size", float(len(batch)))
-        for item in batch:
-            pooled = self._service.submit(item.request)
-            pooled.add_done_callback(_chain_future(item.future))
-
-
-def _chain_future(target: "Future[LinkResponse]"):
-    def _copy(source: "Future[LinkResponse]") -> None:
-        if not target.set_running_or_notify_cancel():
-            return
-        exc = source.exception()
-        if exc is not None:
-            target.set_exception(exc)
-        else:
-            target.set_result(source.result())
-
-    return _copy

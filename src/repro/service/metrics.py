@@ -43,15 +43,25 @@ class LatencyHistogram:
         self._counts[-1] += 1
 
     def quantile(self, q: float) -> Optional[float]:
-        """Bucket-upper-bound estimate of the *q* quantile (None if empty)."""
+        """Estimate of the *q* quantile (None if empty).
+
+        Finds the bucket holding the ``q * count``-th sample and
+        interpolates linearly between its lower and upper bound (the
+        overflow bucket's upper bound is the observed max), clamped to
+        the observed min and max.
+        """
         if self.count == 0:
             return None
         target = q * self.count
         seen = 0
-        for i, bound in enumerate(self.bounds):
-            seen += self._counts[i]
-            if seen >= target:
-                return bound
+        lower = 0.0
+        for i, upper in enumerate(self.bounds + (self.max,)):
+            count = self._counts[i]
+            if count and seen + count >= target:
+                value = lower + (target - seen) / count * (upper - lower)
+                return min(max(value, self.min), self.max)
+            seen += count
+            lower = upper
         return self.max
 
     def snapshot(self) -> Dict[str, object]:

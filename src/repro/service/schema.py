@@ -207,7 +207,7 @@ class LinkResponse:
 
 @dataclass(frozen=True)
 class BatchLinkRequest:
-    """Several documents linked as one micro-batch."""
+    """Several documents linked as one batch."""
 
     requests: Tuple[LinkRequest, ...]
 
@@ -351,16 +351,15 @@ class SessionFeedResponse:
     payload after this increment (``LinkingResult.to_json`` with
     timings stripped — the same shape :class:`LinkResponse` carries, so
     the final increment of a chunked feed is byte-comparable against a
-    one-shot ``/link`` of the concatenated text).  ``solve`` names the
-    solver path the increment took (``initial`` | ``full`` |
-    ``scoped``); ``mentions`` / ``memo`` / ``coref`` summarise the
-    incremental reuse for observability.
+    one-shot ``/link`` of the concatenated text).  ``solve`` is
+    ``initial`` for a session's first increment and ``full`` after;
+    ``mentions`` / ``memo`` / ``coref`` summarise the incremental reuse
+    for observability.
     """
 
     result: Optional[Dict[str, Any]] = None
     session_id: Optional[str] = None
     kind: Optional[str] = None
-    mode: Optional[str] = None
     increment: int = 0
     created: bool = False
     solve: Optional[str] = None
@@ -393,7 +392,7 @@ class SessionFeedResponse:
             "coref": [dict(entry) for entry in self.coref],
             "text_length": self.text_length,
         }
-        for key in ("session_id", "kind", "mode", "solve"):
+        for key in ("session_id", "kind", "solve"):
             value = getattr(self, key)
             if value is not None:
                 payload[key] = value
@@ -416,7 +415,6 @@ class SessionFeedResponse:
                 "result",
                 "session_id",
                 "kind",
-                "mode",
                 "increment",
                 "created",
                 "solve",
@@ -441,7 +439,6 @@ class SessionFeedResponse:
             result=payload.get("result"),
             session_id=payload.get("session_id"),
             kind=payload.get("kind"),
-            mode=payload.get("mode"),
             increment=int(payload.get("increment", 0)),
             created=bool(payload.get("created", False)),
             solve=payload.get("solve"),

@@ -25,15 +25,10 @@ from repro.session.sessions import (
     SessionEvictedError,
     StreamingSession,
 )
-from repro.session.state import (
-    SESSION_MODES,
-    IncrementalLinker,
-    IncrementOutcome,
-)
+from repro.session.state import IncrementalLinker, IncrementOutcome
 
 __all__ = [
     "SESSION_KINDS",
-    "SESSION_MODES",
     "ConversationSession",
     "IncrementalLinker",
     "IncrementOutcome",

@@ -155,7 +155,6 @@ class SessionManager:
                 "kind": entry.kind,
                 "increment": entry.session.increment,
                 "text_length": len(entry.session.text),
-                "mode": entry.session.config.mode,
                 "idle_seconds": max(0.0, now - entry.last_used),
                 "age_seconds": max(0.0, now - entry.created_at),
             }

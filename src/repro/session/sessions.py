@@ -23,7 +23,7 @@ from typing import Dict, Optional
 from repro.core.deadline import Deadline
 from repro.core.linker import TenetLinker
 from repro.core.result import LinkingResult
-from repro.session.state import SESSION_MODES, IncrementalLinker, IncrementOutcome
+from repro.session.state import IncrementalLinker, IncrementOutcome
 
 SESSION_KINDS = ("stream", "conversation")
 
@@ -44,36 +44,13 @@ class SessionClosedError(SessionError):
 class SessionConfig:
     """Knobs shared by both session kinds."""
 
-    mode: str = "full"  # "full" (byte-parity) | "scoped" (delta re-solve)
     context_prior_boost: float = 0.08
-    # Scoped-mode ambiguity guard: fall back to a full solve when the
-    # dirty region covers more than this fraction of all mentions (a
-    # scoped re-solve would redo most of the work anyway) or averages
-    # more than this many candidates per dirty mention (high ambiguity
-    # is where clean mentions' fixed links could steer the region
-    # wrong).
-    scoped_dirty_fraction: float = 0.6
-    scoped_mean_candidates: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.mode not in SESSION_MODES:
-            raise ValueError(
-                f"mode must be one of {SESSION_MODES}, got {self.mode!r}"
-            )
         if not 0.0 <= self.context_prior_boost <= 1.0:
             raise ValueError(
                 "context_prior_boost must be within [0, 1], got "
                 f"{self.context_prior_boost}"
-            )
-        if not 0.0 < self.scoped_dirty_fraction <= 1.0:
-            raise ValueError(
-                "scoped_dirty_fraction must be within (0, 1], got "
-                f"{self.scoped_dirty_fraction}"
-            )
-        if self.scoped_mean_candidates <= 0.0:
-            raise ValueError(
-                "scoped_mean_candidates must be positive, got "
-                f"{self.scoped_mean_candidates}"
             )
 
 
@@ -86,12 +63,7 @@ class StreamingSession:
         self, linker: TenetLinker, config: Optional[SessionConfig] = None
     ) -> None:
         self.config = config or SessionConfig()
-        self.state = IncrementalLinker(
-            linker,
-            mode=self.config.mode,
-            scoped_dirty_fraction=self.config.scoped_dirty_fraction,
-            scoped_mean_candidates=self.config.scoped_mean_candidates,
-        )
+        self.state = IncrementalLinker(linker)
 
     def feed(
         self,
@@ -126,12 +98,7 @@ class ConversationSession:
         self, linker: TenetLinker, config: Optional[SessionConfig] = None
     ) -> None:
         self.config = config or SessionConfig()
-        self.state = IncrementalLinker(
-            linker,
-            mode=self.config.mode,
-            scoped_dirty_fraction=self.config.scoped_dirty_fraction,
-            scoped_mean_candidates=self.config.scoped_mean_candidates,
-        )
+        self.state = IncrementalLinker(linker)
         # Concepts linked in earlier turns -> how many turns linked them.
         self.seen_concepts: Dict[str, int] = {}
 

@@ -4,33 +4,12 @@
 across text increments.  Each ``feed(chunk)`` re-extracts the (cheap)
 surface structure over the accumulated text, resolves candidates
 through a session-local memo keyed exactly like the serving layer's
-candidate cache, and then solves in one of two modes:
-
-* ``"full"`` — re-run the one-shot solve (`TenetLinker._link_candidates`)
-  over the accumulated document.  This is byte-identical to linking the
-  final text in one shot, by construction: same extraction, same
-  candidate values (the memo returns exactly what the generator would),
-  same solver path.  The session still amortises work through the
-  candidate memo and the service-level caches.
-* ``"scoped"`` — reuse state across increments.  The coherence graph is
-  *accumulated*, not rebuilt: :class:`_DeltaCoherenceGraph` adds only
-  the new mentions' nodes and the rectangular (new × all) weight block
-  each feed, backed by per-concept similarity vectors cached in
-  :class:`_SimilarityBlockCache`.  Only the *dirty region* — new
-  mentions, mentions whose candidates or group membership changed,
-  members of groups that lost a mention to re-tokenisation, plus their
-  one-hop coherence neighbourhood closed over mention groups — is
-  re-solved, on the subgraph induced from the accumulator by an
-  adjacency walk; clean mentions keep their previous links.  The
-  Kruskal scaffold is advanced lazily with
-  :func:`repro.core.tree_cover.delta_scaffold` only on the feeds that
-  fall back to a full solve: a fallback happens when there is no
-  previous state or when the dirty region trips the session ambiguity
-  guard (dirty fraction or mean candidates per dirty mention above the
-  ``SessionConfig`` thresholds).  Scoped increments never re-rank old
-  nodes' neighbour lists and freeze conversation-boost priors at first
-  sight, so final states are F1-equivalent to one-shot linking within a
-  pinned tolerance rather than byte-identical (see docs/sessions.md).
+candidate cache, and then re-runs the one-shot solve
+(`TenetLinker._link_candidates`) over the accumulated document.  This
+is byte-identical to linking the final text in one shot, by
+construction: same extraction, same candidate values (the memo returns
+exactly what the generator would), same solver path.  The session
+amortises work through the candidate memo and the service-level caches.
 
 State is committed only after a solve succeeds: a deadline abort or any
 other exception leaves the session exactly as it was before the feed.
@@ -40,29 +19,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.candidates import MentionCandidates
-from repro.core.canopies import MentionGroup, build_mention_groups
-from repro.core.coherence import CandidateNode, CoherenceGraph
 from repro.core.deadline import Deadline
-from repro.core.disambiguation import disambiguate, disambiguate_pairwise
 from repro.core.linker import TenetLinker
 from repro.core.result import LinkingResult
-from repro.core.tree_cover import (
-    build_cover_scaffold,
-    delta_scaffold,
-    derive_tree_cover_with_scaffold,
-)
-from repro.graph.weighted_graph import WeightedGraph
 from repro.kb.alias_index import CandidateHit
 from repro.nlp.pipeline import DocumentExtraction
 from repro.nlp.spans import Span
 from repro.textnorm import normalize_phrase
-
-SESSION_MODES = ("full", "scoped")
 
 
 @dataclass
@@ -71,12 +37,10 @@ class IncrementOutcome:
 
     result: LinkingResult
     increment: int  # 1-based index of this increment within the session
-    mode: str  # session mode: "full" | "scoped"
-    solve: str  # what this increment ran: "initial" | "full" | "scoped"
+    solve: str  # what this increment ran: "initial" | "full"
     new_mentions: int
     reused_mentions: int
     removed_mentions: int
-    dirty_mentions: int
     memo_hits: int
     memo_misses: int
     coref_inherited: List[Dict[str, object]]
@@ -89,323 +53,28 @@ class IncrementOutcome:
             "new": self.new_mentions,
             "reused": self.reused_mentions,
             "removed": self.removed_mentions,
-            "dirty": self.dirty_mentions,
         }
-
-
-@dataclass
-class _CommittedState:
-    """The per-increment state the next feed diffs against."""
-
-    extraction: DocumentExtraction
-    candidates: MentionCandidates
-    coherence: CoherenceGraph
-    groups: List[MentionGroup]
-    result: LinkingResult
-
-
-class _SimilarityBlockCache:
-    """Concept-id-keyed similarity rows reused across increments.
-
-    ``batch_similarity`` computes one ``E @ E.T`` block per document;
-    across increments most concept ids repeat, so this cache grows a
-    unique-id similarity matrix incrementally — only the cross block
-    between *new* ids and everything seen so far is a fresh matrix
-    product — and expands it to the per-node layout with one fancy-index
-    gather.  Reused entries are bitwise-stable across increments (they
-    are never recomputed), but they are *not* bitwise-equal to what a
-    fresh one-shot block of a different shape would produce (BLAS
-    tiling), which is why scoped mode carries an F1 tolerance instead of
-    a byte gate.
-    """
-
-    def __init__(self, store) -> None:
-        self._store = store
-        self._ids: List[str] = []
-        self._index: Dict[str, int] = {}
-        self._vectors: Optional[np.ndarray] = None
-        self._matrix: Optional[np.ndarray] = None
-        self.reused_pairs = 0
-        self.computed_pairs = 0
-
-    def matrix_for(self, concept_ids: Sequence[str]) -> np.ndarray:
-        """Similarity matrix over *concept_ids* (duplicates allowed)."""
-        ids = list(concept_ids)
-        self._ensure(ids)
-        n = len(ids)
-        if n == 0:
-            return np.zeros((0, 0), dtype=np.float64)
-        self.reused_pairs += n * (n - 1) // 2
-        rows = np.array([self._index[cid] for cid in ids], dtype=np.int64)
-        sims = self._matrix[np.ix_(rows, rows)]
-        # Same-id positions are exactly 1.0, matching batch_similarity's
-        # a == b shortcut (equal unique-matrix indices <=> equal ids).
-        sims[rows[:, None] == rows[None, :]] = 1.0
-        return sims
-
-    def block_for(
-        self, row_ids: Sequence[str], col_ids: Sequence[str]
-    ) -> np.ndarray:
-        """Rectangular similarity block rows x cols (duplicates allowed)."""
-        self._ensure(list(row_ids) + list(col_ids))
-        if not row_ids or not col_ids:
-            return np.zeros((len(row_ids), len(col_ids)), dtype=np.float64)
-        rows = np.array(
-            [self._index[cid] for cid in row_ids], dtype=np.int64
-        )
-        cols = np.array(
-            [self._index[cid] for cid in col_ids], dtype=np.int64
-        )
-        sims = self._matrix[np.ix_(rows, cols)]
-        sims[rows[:, None] == cols[None, :]] = 1.0
-        self.reused_pairs += len(rows) * len(cols)
-        return sims
-
-    def _ensure(self, ids: Sequence[str]) -> None:
-        """Grow the unique-id matrix to cover *ids*."""
-        fresh = [
-            cid
-            for cid in dict.fromkeys(ids)
-            if cid not in self._index
-        ]
-        if fresh:
-            vectors, _ = self._store.rows(fresh)
-            new_block = vectors.astype(np.float64)
-            if self._vectors is None:
-                self._vectors = new_block
-                self._matrix = np.clip(new_block @ new_block.T, -1.0, 1.0)
-            else:
-                old = self._matrix.shape[0]
-                cross = np.clip(new_block @ self._vectors.T, -1.0, 1.0)
-                diag = np.clip(new_block @ new_block.T, -1.0, 1.0)
-                grown = np.empty(
-                    (old + len(fresh), old + len(fresh)), dtype=np.float64
-                )
-                grown[:old, :old] = self._matrix
-                grown[old:, :old] = cross
-                grown[:old, old:] = cross.T
-                grown[old:, old:] = diag
-                self._matrix = grown
-                self._vectors = np.vstack([self._vectors, new_block])
-            for cid in fresh:
-                self._index[cid] = len(self._ids)
-                self._ids.append(cid)
-            self.computed_pairs += len(fresh) * len(self._ids)
-
-    @property
-    def unique_ids(self) -> int:
-        return len(self._ids)
-
-
-class _DeltaCoherenceGraph:
-    """Coherence graph grown candidate-block by candidate-block.
-
-    The fresh build pays an O(n^2) weight matrix plus a Python edge
-    loop over the whole document on every call; across increments only
-    the *new* mentions' candidate nodes need edges, so this accumulator
-    computes one rectangular (new x all) weight block per feed and adds
-    each new node's ``max_neighbours`` lightest admissible edges.  The
-    edge-weight formulae mirror :func:`build_coherence_graph` exactly;
-    what drifts from a fresh build is the kNN sparsification (an old
-    node never re-ranks its neighbour list when better partners arrive
-    later, though it does gain the edges new nodes pick to it) and, in
-    conversations, prior boosts applied after a node was first seen.
-    Scoped mode carries an F1 tolerance instead of a byte gate for
-    exactly this class of drift.
-
-    ``extend`` is idempotent per span, so a feed aborted after the graph
-    grew (deadline hit mid-solve) leaves at worst some not-yet-committed
-    nodes in the graph; they are invisible downstream because every
-    consumer walks ``candidates_by_mention`` of the *current* feed.
-    """
-
-    def __init__(self, sims: _SimilarityBlockCache, config) -> None:
-        self._sims = sims
-        self._config = config
-        self.graph = WeightedGraph()
-        self.priors: Dict[CandidateNode, float] = {}
-        self._nodes_by_span: Dict[Span, List[CandidateNode]] = {}
-        self._nodes: List[CandidateNode] = []
-        self._starts: List[int] = []
-        self._ends: List[int] = []
-        self._sentences: List[int] = []
-        self._is_predicate: List[bool] = []
-        self._concept_of: List[int] = []
-        self._mention_of: List[int] = []
-        self._concept_index: Dict[str, int] = {}
-        self._mention_index: Dict[Span, int] = {}
-
-    def view(
-        self, mention_candidates: Dict[Span, List[CandidateHit]]
-    ) -> CoherenceGraph:
-        """The accumulated graph scoped to the current feed's mentions."""
-        return CoherenceGraph(
-            graph=self.graph,
-            mentions=list(mention_candidates),
-            candidates_by_mention={
-                span: self._nodes_by_span[span]
-                for span in mention_candidates
-            },
-            priors=self.priors,
-        )
-
-    def extend(
-        self, mention_candidates: Dict[Span, List[CandidateHit]]
-    ) -> None:
-        """Add nodes and edges for the spans not seen before."""
-        config = self._config
-        floor = config.prior_distance_floor
-        curve = config.prior_distance_curve
-        new_nodes: List[CandidateNode] = []
-        for span, hits in mention_candidates.items():
-            if span in self._nodes_by_span:
-                continue
-            self.graph.add_node(span)
-            nodes: List[CandidateNode] = []
-            for hit in hits:
-                node = CandidateNode(span, hit.concept_id, hit.kind)
-                nodes.append(node)
-                new_nodes.append(node)
-                self.priors[node] = hit.prior
-                raw = min(max(1.0 - hit.prior, 0.0), 1.0)
-                local = floor + (1.0 - floor) * (raw ** curve)
-                self.graph.add_edge(span, node, local)
-            self._nodes_by_span[span] = nodes
-        if not new_nodes:
-            return
-        old_count = len(self._nodes)
-        for node in new_nodes:
-            mention = node.mention
-            self._nodes.append(node)
-            self._starts.append(mention.token_start)
-            self._ends.append(mention.token_end)
-            self._sentences.append(mention.sentence_index)
-            self._is_predicate.append(node.kind == "predicate")
-            self._concept_of.append(
-                self._concept_index.setdefault(
-                    node.concept_id, len(self._concept_index)
-                )
-            )
-            self._mention_of.append(
-                self._mention_index.setdefault(
-                    mention, len(self._mention_index)
-                )
-            )
-        total = len(self._nodes)
-        if total < 2:
-            return
-        count = len(new_nodes)
-        sims = self._sims.block_for(
-            [node.concept_id for node in new_nodes],
-            [node.concept_id for node in self._nodes],
-        )
-        is_pred_all = np.array(self._is_predicate, dtype=bool)
-        is_pred_new = is_pred_all[old_count:]
-        predicate_pair = is_pred_new[:, None] | is_pred_all[None, :]
-        sims = np.where(
-            predicate_pair, sims * config.predicate_similarity_scale, sims
-        )
-        local_all = 1.0 - np.array(
-            [self.priors[node] for node in self._nodes], dtype=np.float64
-        )
-        blend = config.coherence_prior_blend * (
-            local_all[old_count:, None] + local_all[None, :]
-        )
-        weights = np.clip(1.0 - sims + blend, 1e-9, 1.0)
-
-        starts = np.array(self._starts, dtype=np.int64)
-        ends = np.array(self._ends, dtype=np.int64)
-        sentences = np.array(self._sentences, dtype=np.int64)
-        mention_of = np.array(self._mention_of, dtype=np.int64)
-        concept_of = np.array(self._concept_of, dtype=np.int64)
-        same_mention = (
-            mention_of[old_count:, None] == mention_of[None, :]
-        )
-        overlapping = (starts[old_count:, None] < ends[None, :]) & (
-            starts[None, :] < ends[old_count:, None]
-        )
-        same_sentence = (
-            sentences[old_count:, None] == sentences[None, :]
-        )
-        entity_pair = ~is_pred_new[:, None] & ~is_pred_all[None, :]
-        same_concept = (
-            concept_of[old_count:, None] == concept_of[None, :]
-        )
-        allowed = (
-            ~same_mention
-            & ~overlapping
-            & ~same_concept
-            & (entity_pair | same_sentence)
-        )
-        weights = np.where(allowed, weights, np.inf)
-
-        max_neighbours = config.coherence_max_neighbours
-        if max_neighbours is None or max_neighbours >= total:
-            neighbour_sets = [
-                np.nonzero(np.isfinite(weights[i]))[0]
-                for i in range(count)
-            ]
-        else:
-            order = np.argsort(weights, axis=1)
-            neighbour_sets = [order[i, :max_neighbours] for i in range(count)]
-        for i in range(count):
-            source = self._nodes[old_count + i]
-            row = weights[i]
-            for j in neighbour_sets[i].tolist():
-                weight = row[j]
-                if not np.isfinite(weight):
-                    continue
-                target = self._nodes[j]
-                if target is source:
-                    continue
-                self.graph.add_edge(source, target, float(weight))
 
 
 class IncrementalLinker:
     """One document's linking state, advanced chunk by chunk."""
 
-    def __init__(
-        self,
-        linker: TenetLinker,
-        mode: str = "full",
-        scoped_dirty_fraction: float = 0.6,
-        scoped_mean_candidates: float = 8.0,
-    ) -> None:
-        if mode not in SESSION_MODES:
-            raise ValueError(
-                f"session mode must be one of {SESSION_MODES}, got {mode!r}"
-            )
+    def __init__(self, linker: TenetLinker) -> None:
         self.linker = linker
-        self.mode = mode
-        self.scoped_dirty_fraction = scoped_dirty_fraction
-        self.scoped_mean_candidates = scoped_mean_candidates
         self.text = ""
         self.increment = 0
         self._memo: Dict[tuple, Tuple[CandidateHit, ...]] = {}
-        self._state: Optional[_CommittedState] = None
-        self._scaffold = None
-        self._boosted_last = False
-        self._sims = (
-            _SimilarityBlockCache(linker.context.embeddings)
-            if mode == "scoped"
-            else None
-        )
-        self._delta = (
-            _DeltaCoherenceGraph(self._sims, linker.config)
-            if mode == "scoped"
-            else None
-        )
+        self._mentions: Set[Span] = set()
+        self._result: Optional[LinkingResult] = None
 
     # ------------------------------------------------------------------
     @property
     def result(self) -> Optional[LinkingResult]:
-        return self._state.result if self._state is not None else None
+        return self._result
 
     @property
     def mention_count(self) -> int:
-        if self._state is None:
-            return 0
-        return len(self._state.candidates.by_mention)
+        return len(self._mentions)
 
     # ------------------------------------------------------------------
     def feed(
@@ -441,48 +110,19 @@ class IncrementalLinker:
         )
         timings["candidates"] = time.perf_counter() - stage
 
-        previous = self._state
-        prev_mentions = (
-            set(previous.candidates.by_mention) if previous is not None else set()
-        )
         current_mentions = set(candidates.by_mention)
-        new_spans = current_mentions - prev_mentions
-        removed_spans = prev_mentions - current_mentions
-        reused_spans = current_mentions & prev_mentions
+        new_spans = current_mentions - self._mentions
+        removed_spans = self._mentions - current_mentions
+        reused_spans = current_mentions & self._mentions
 
-        boosting = bool(boost_concepts) and boost > 0.0
-
-        if self.mode == "full":
-            diagnostics = self.linker._link_candidates(
-                extraction,
-                candidates,
-                timings=timings,
-                deadline=deadline,
-                trace=trace,
-            )
-            result = diagnostics.result
-            coherence = diagnostics.coherence
-            groups = diagnostics.groups
-            scaffold = None
-            solve = "initial" if previous is None else "full"
-            dirty_count = len(current_mentions)
-        else:
-            result, coherence, groups, scaffold, solve, dirty_count = (
-                self._scoped_feed(
-                    extraction,
-                    candidates,
-                    previous,
-                    new_spans,
-                    removed_spans,
-                    # Without boosts the memo pins a reused span's
-                    # candidate values, so the change scan is skipped;
-                    # a boost on either side of the diff re-enables it.
-                    boosting or self._boosted_last,
-                    timings,
-                    deadline,
-                    trace,
-                )
-            )
+        result = self.linker._link_candidates(
+            extraction,
+            candidates,
+            timings=timings,
+            deadline=deadline,
+            trace=trace,
+        ).result
+        solve = "initial" if self._result is None else "full"
 
         coref = self._coref_inherited(extraction, result)
         elapsed = time.perf_counter() - started
@@ -490,25 +130,19 @@ class IncrementalLinker:
         result.stage_seconds = dict(timings)
 
         # Commit only now: everything above is side-effect free on the
-        # session (memo/similarity caches are value caches).
+        # session (the candidate memo is a value cache).
         self.text = text
         self.increment += 1
-        self._boosted_last = boosting
-        self._state = _CommittedState(
-            extraction, candidates, coherence, groups, result
-        )
-        if scaffold is not None:
-            self._scaffold = scaffold
+        self._mentions = current_mentions
+        self._result = result
 
         return IncrementOutcome(
             result=result,
             increment=self.increment,
-            mode=self.mode,
             solve=solve,
             new_mentions=len(new_spans),
             reused_mentions=len(reused_spans),
             removed_mentions=len(removed_spans),
-            dirty_mentions=dirty_count,
             memo_hits=memo_hits,
             memo_misses=memo_misses,
             coref_inherited=coref,
@@ -581,399 +215,6 @@ class IncrementalLinker:
             # Stable by descending prior, like the alias index ordering.
             out.sort(key=lambda h: -h.prior)
         return out
-
-    # ------------------------------------------------------------------
-    # scoped mode
-    # ------------------------------------------------------------------
-    def _scoped_feed(
-        self,
-        extraction: DocumentExtraction,
-        candidates: MentionCandidates,
-        previous: Optional[_CommittedState],
-        new_spans: Set[Span],
-        removed_spans: Set[Span],
-        scan_candidates: bool,
-        timings: Dict[str, float],
-        deadline: Optional[Deadline],
-        trace,
-    ):
-        config = self.linker.config
-        if not config.use_canopies:
-            # Ablation configs bypass the scoped machinery entirely.
-            diagnostics = self.linker._link_candidates(
-                extraction, candidates, timings=timings,
-                deadline=deadline, trace=trace,
-            )
-            return (
-                diagnostics.result,
-                diagnostics.coherence,
-                diagnostics.groups,
-                None,
-                "initial" if previous is None else "full",
-                len(candidates.by_mention),
-            )
-
-        if deadline is not None:
-            deadline.check("coherence")
-        stage = time.perf_counter()
-        # Removed spans (a chunk boundary re-tokenised the tail) leave
-        # stale nodes in the accumulator; they are invisible downstream
-        # because every consumer — the view, the scaffold edge arrays,
-        # the induced subgraph — walks the *current* feed's mentions.
-        self._delta.extend(candidates.by_mention)
-        coherence = self._delta.view(candidates.by_mention)
-        timings["coherence"] = time.perf_counter() - stage
-        if trace is not None:
-            trace.record(
-                "coherence",
-                timings["coherence"],
-                nodes=coherence.graph.node_count,
-                edges=coherence.graph.edge_count,
-                mentions=coherence.mention_count,
-            )
-
-        if deadline is not None:
-            deadline.check("grouping")
-        stage = time.perf_counter()
-        groups = build_mention_groups(
-            extraction.tokens,
-            extraction.noun_spans,
-            extraction.relation_spans,
-            has_candidates=lambda span: bool(candidates.by_mention.get(span)),
-        )
-        timings["grouping"] = time.perf_counter() - stage
-        if trace is not None:
-            trace.record("grouping", timings["grouping"], groups=len(groups))
-
-        dirty = self._dirty_region(
-            previous, candidates, coherence, groups, new_spans,
-            scan_candidates, removed_spans,
-        )
-        if (
-            previous is None
-            or not self._scoped_applicable(dirty, candidates, groups)
-        ):
-            # The scaffold is advanced lazily: scoped increments never
-            # touch it, so the delta merge (or initial sort) runs only
-            # on the feeds that actually solve over it.  delta_scaffold
-            # tolerates a scaffold that is several increments behind —
-            # unmatched edges just land in the "added" run.
-            scaffold = (
-                delta_scaffold(self._scaffold, coherence)
-                if self._scaffold is not None
-                else build_cover_scaffold(coherence)
-            )
-            solve = "initial" if previous is None else "full"
-            result = self._solve_all(
-                extraction, candidates, coherence, groups, scaffold,
-                timings, deadline, trace,
-            )
-            dirty_count = len(candidates.by_mention)
-        else:
-            scaffold = None
-            solve = "scoped"
-            result = self._solve_dirty(
-                previous, dirty, candidates, coherence, groups,
-                timings, deadline, trace,
-            )
-            dirty_count = len(dirty)
-        return result, coherence, groups, scaffold, solve, dirty_count
-
-    def _dirty_region(
-        self,
-        previous: Optional[_CommittedState],
-        candidates: MentionCandidates,
-        coherence: CoherenceGraph,
-        groups: List[MentionGroup],
-        new_spans: Set[Span],
-        scan_candidates: bool = True,
-        removed_spans: Optional[Set[Span]] = None,
-    ) -> Set[Span]:
-        """New/changed mentions, closed over groups and one coherence hop."""
-        dirty: Set[Span] = set(new_spans)
-        if previous is None:
-            return set(candidates.by_mention)
-        if scan_candidates:
-            prev_by_mention = previous.candidates.by_mention
-            for span, hits in candidates.by_mention.items():
-                old = prev_by_mention.get(span)
-                if old is not None and list(old) != list(hits):
-                    dirty.add(span)
-        # A removed mention (the tail re-tokenised under a mid-sentence
-        # chunk boundary) takes its committed link with it; the group it
-        # sat in must re-arbitrate, so its surviving members are dirty.
-        if removed_spans:
-            for group in previous.groups:
-                members = group.spans() | set(group.short_mentions)
-                if any(span in removed_spans for span in members):
-                    dirty.update(members)
-        # Group-membership changes: a group whose span set differs from
-        # the one its members sat in before must re-arbitrate as a whole.
-        prev_group_of: Dict[Span, frozenset] = {}
-        for group in previous.groups:
-            members = frozenset(group.spans() | set(group.short_mentions))
-            for span in members:
-                prev_group_of[span] = members
-        for group in groups:
-            members = frozenset(group.spans() | set(group.short_mentions))
-            if any(prev_group_of.get(span) != members for span in members):
-                dirty.update(members)
-        # One hop of coherence neighbourhood: candidates of dirty
-        # mentions pull in the mentions their concept edges touch.
-        graph = coherence.graph
-        for span in list(dirty):
-            for node in coherence.candidates_by_mention.get(span, []):
-                for neighbour in graph.neighbours(node):
-                    if isinstance(neighbour, CandidateNode):
-                        dirty.add(neighbour.mention)
-        # Close over groups so every touched group is wholly dirty.
-        for group in groups:
-            members = group.spans() | set(group.short_mentions)
-            if any(span in dirty for span in members):
-                dirty.update(members)
-        return {span for span in dirty if span in candidates.by_mention}
-
-    def _scoped_applicable(
-        self,
-        dirty: Set[Span],
-        candidates: MentionCandidates,
-        groups: List[MentionGroup],
-    ) -> bool:
-        """False when the dirty region trips the session ambiguity guard.
-
-        Two signals: a dirty region covering most of the document means
-        a scoped re-solve would redo nearly all the work anyway (so run
-        the honest full solve over the delta scaffold), and a region
-        with many candidates per mention is where the global tree cover
-        changes answers — re-solving it in isolation against frozen
-        clean links risks drift, so it also deserves the full solve.
-        """
-        if not dirty:
-            return True
-        total_mentions = len(candidates.by_mention)
-        if (
-            total_mentions
-            and len(dirty) / total_mentions > self.scoped_dirty_fraction
-        ):
-            return False
-        total = sum(len(candidates.by_mention.get(s, ())) for s in dirty)
-        return total / len(dirty) <= self.scoped_mean_candidates
-
-    def _solve_all(
-        self,
-        extraction: DocumentExtraction,
-        candidates: MentionCandidates,
-        coherence: CoherenceGraph,
-        groups: List[MentionGroup],
-        scaffold,
-        timings: Dict[str, float],
-        deadline: Optional[Deadline],
-        trace,
-    ) -> LinkingResult:
-        """Full solve over the delta-built scaffold (scoped mode)."""
-        linker = self.linker
-        routed_fast = linker._route_fast(coherence, groups)
-        if routed_fast:
-            timings["tree_cover"] = 0.0
-            if trace is not None:
-                trace.record("tree_cover", 0.0, cover_edges=0, mode="fast")
-            if deadline is not None:
-                deadline.check("disambiguation")
-            stage = time.perf_counter()
-            disambiguation = disambiguate_pairwise(
-                coherence,
-                groups,
-                linker.config.prior_link_threshold,
-                deadline=deadline,
-            )
-        else:
-            if deadline is not None:
-                deadline.check("tree_cover")
-            stage = time.perf_counter()
-            cover = derive_tree_cover_with_scaffold(
-                coherence,
-                scaffold,
-                linker.config.tree_weight_bound,
-                deadline=deadline,
-            )
-            timings["tree_cover"] = time.perf_counter() - stage
-            if trace is not None:
-                trace.record(
-                    "tree_cover",
-                    timings["tree_cover"],
-                    cover_edges=cover.total_edges,
-                )
-            if deadline is not None:
-                deadline.check("disambiguation")
-            stage = time.perf_counter()
-            disambiguation = disambiguate(
-                cover,
-                groups,
-                linker.config.prior_link_threshold,
-                extra_edges=linker._shared_edges(coherence, cover.bound),
-                deadline=deadline,
-            )
-        timings["disambiguation"] = time.perf_counter() - stage
-        result = linker._to_result(disambiguation, candidates)
-        result.cover_mode = "fast" if routed_fast else "exact"
-        if trace is not None:
-            trace.record(
-                "disambiguation",
-                timings["disambiguation"],
-                entity_links=len(result.entity_links),
-                relation_links=len(result.relation_links),
-                non_linkable=len(result.non_linkable),
-                mode=result.cover_mode,
-            )
-        return result
-
-    @staticmethod
-    def _induced_subgraph(
-        coherence: CoherenceGraph, dirty: Set[Span]
-    ) -> CoherenceGraph:
-        """The coherence graph restricted to the dirty mentions.
-
-        Rebuilding a sub-coherence graph from candidate hits would redo
-        the edge construction the full build just did; slicing the
-        committed graph instead is linear in its edge count and keeps
-        the sub-region's edge weights bitwise-equal to the full graph's
-        (including the ``max_neighbours`` pruning decisions made under
-        full-document context).
-        """
-        graph = WeightedGraph()
-        mentions = [m for m in coherence.mentions if m in dirty]
-        candidates_by_mention: Dict[Span, List[CandidateNode]] = {}
-        priors: Dict[CandidateNode, float] = {}
-        full = coherence.graph
-        # One adjacency walk per dirty candidate node (edges are emitted
-        # at their first-reached endpoint, like WeightedGraph.edges());
-        # cost is the dirty region's degree sum, not the full edge count.
-        done: Set[CandidateNode] = set()
-        for mention in mentions:
-            graph.add_node(mention)
-            nodes = coherence.candidates_by_mention.get(mention, [])
-            candidates_by_mention[mention] = list(nodes)
-            for node in nodes:
-                graph.add_node(node)
-                priors[node] = coherence.priors[node]
-                for neighbour, weight in full.neighbours(node).items():
-                    if neighbour is mention or neighbour == mention:
-                        graph.add_edge(mention, node, weight)
-                    elif (
-                        isinstance(neighbour, CandidateNode)
-                        and neighbour not in done
-                        and neighbour.mention in dirty
-                    ):
-                        graph.add_edge(node, neighbour, weight)
-                done.add(node)
-        return CoherenceGraph(
-            graph=graph,
-            mentions=mentions,
-            candidates_by_mention=candidates_by_mention,
-            priors=priors,
-        )
-
-    def _solve_dirty(
-        self,
-        previous: _CommittedState,
-        dirty: Set[Span],
-        candidates: MentionCandidates,
-        coherence: CoherenceGraph,
-        groups: List[MentionGroup],
-        timings: Dict[str, float],
-        deadline: Optional[Deadline],
-        trace,
-    ) -> LinkingResult:
-        """Re-solve only the dirty region; clean mentions keep their links."""
-        linker = self.linker
-        config = linker.config
-        sub_by_mention = {
-            span: hits
-            for span, hits in candidates.by_mention.items()
-            if span in dirty
-        }
-        sub_groups = [
-            group
-            for group in groups
-            if any(span in dirty for span in group.spans())
-        ]
-
-        if sub_by_mention:
-            sub_coherence = self._induced_subgraph(coherence, dirty)
-            if deadline is not None:
-                deadline.check("tree_cover")
-            stage = time.perf_counter()
-            sub_scaffold = build_cover_scaffold(sub_coherence)
-            cover = derive_tree_cover_with_scaffold(
-                sub_coherence,
-                sub_scaffold,
-                config.tree_weight_bound,
-                deadline=deadline,
-            )
-            timings["tree_cover"] = time.perf_counter() - stage
-            if trace is not None:
-                trace.record(
-                    "tree_cover",
-                    timings["tree_cover"],
-                    cover_edges=cover.total_edges,
-                    mode="scoped",
-                )
-            if deadline is not None:
-                deadline.check("disambiguation")
-            stage = time.perf_counter()
-            disambiguation = disambiguate(
-                cover,
-                sub_groups,
-                config.prior_link_threshold,
-                extra_edges=linker._shared_edges(sub_coherence, cover.bound),
-                deadline=deadline,
-            )
-            timings["disambiguation"] = time.perf_counter() - stage
-            sub_result = linker._to_result(
-                disambiguation, MentionCandidates(sub_by_mention)
-            )
-        else:
-            timings["tree_cover"] = 0.0
-            timings["disambiguation"] = 0.0
-            sub_result = LinkingResult()
-
-        current = set(candidates.by_mention)
-
-        def keep(span: Span) -> bool:
-            return span in current and span not in dirty
-
-        def order(link) -> Tuple[int, int]:
-            return (link.span.token_start, link.span.token_end)
-
-        previous_result = previous.result
-        result = LinkingResult(
-            entity_links=sorted(
-                [l for l in previous_result.entity_links if keep(l.span)]
-                + sub_result.entity_links,
-                key=order,
-            ),
-            relation_links=sorted(
-                [l for l in previous_result.relation_links if keep(l.span)]
-                + sub_result.relation_links,
-                key=order,
-            ),
-            non_linkable=sorted(
-                [s for s in previous_result.non_linkable if keep(s)]
-                + sub_result.non_linkable,
-                key=lambda s: (s.token_start, s.token_end),
-            ),
-        )
-        result.cover_mode = "exact"
-        if trace is not None:
-            trace.record(
-                "disambiguation",
-                timings["disambiguation"],
-                entity_links=len(result.entity_links),
-                relation_links=len(result.relation_links),
-                non_linkable=len(result.non_linkable),
-                mode="scoped",
-            )
-        return result
 
     # ------------------------------------------------------------------
     # coref threading

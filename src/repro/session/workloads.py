@@ -113,11 +113,9 @@ def split_text(
     without replacement from eligible cut positions, so every chunk is
     non-empty and no byte is lost.  With ``sentence_aligned`` the cuts
     land just after a ``". "`` sentence break (falling back to word
-    boundaries when the text has too few sentences) — sentence-aligned
-    chunks keep earlier increments' tokenisation stable, which is what
-    lets scoped sessions re-solve only the dirty region instead of
-    falling back to a full solve.  Without it, cuts land just after any
-    space, including mid-sentence.
+    boundaries when the text has too few sentences), which keeps earlier
+    increments' tokenisation stable.  Without it, cuts land just after
+    any space, including mid-sentence.
     """
     boundaries: List[int] = []
     if sentence_aligned:

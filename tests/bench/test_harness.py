@@ -66,13 +66,6 @@ class TestReportShape:
     def test_peak_rss_recorded(self, micro_report):
         assert micro_report["peak_rss_kb"] is None or micro_report["peak_rss_kb"] > 0
 
-    def test_coherence_comparison_present_and_faster(self, micro_report):
-        comparison = micro_report["coherence_comparison"]
-        assert comparison is not None
-        assert comparison["parity"] is True
-        # The batched path must beat the scalar per-pair reference.
-        assert comparison["speedup"] > 1.0
-
     def test_service_throughput_and_caches(self, micro_report):
         service = micro_report["service"]
         assert service["documents_per_second"] > 0
@@ -80,7 +73,6 @@ class TestReportShape:
         caches = service["caches"]
         # The repro.caching LRU counters are part of the trajectory.
         assert caches["candidates"]["hits"] + caches["candidates"]["misses"] > 0
-        assert "similarity" in caches
         assert "alias_fuzzy" in caches
         assert "similarity_batch" in caches
         assert caches["similarity_batch"]["batch_calls"] > 0
@@ -187,7 +179,6 @@ class TestWarmStart:
             repeats=1,
             warmup=0,
             service_workers=2,
-            scalar_baseline=False,
             label="micro-warm",
         )
         report = run_benchmark(config, snapshot_path=tmp_path / "store")
@@ -209,7 +200,6 @@ class TestWarmStart:
             repeats=1,
             warmup=0,
             service_workers=2,
-            scalar_baseline=False,
         )
         warm = run_benchmark(config, snapshot_path=tmp_path / "store")
         cold_entry = micro_report["scales"][0]

@@ -1,19 +1,20 @@
 """Batched vs. scalar coherence construction: identical graphs, identical links.
 
-Pins the acceptance criterion of the vectorised hot path: switching
-``similarity_mode`` (one ``E @ E.T`` block vs. per-pair cosine calls)
-must not change the coherence graph, and end-to-end linking output must
-be byte-identical.
+Pins the acceptance criterion of the vectorised hot path: building the
+coherence graph from one ``E @ E.T`` block instead of per-pair cosine
+calls (the :class:`tests.core.oracles.ScalarSimilarityIndex` oracle)
+must not change the graph, and end-to-end linking output must be
+byte-identical.
 """
 
 import json
 
 import pytest
 
-from repro.core.config import TenetConfig
 from repro.core.coherence import build_coherence_graph
 from repro.core.linker import LinkingContext, TenetLinker
 from repro.datasets.benchmarks import build_benchmark_suite
+from tests.core.oracles import ScalarSimilarityIndex
 
 
 @pytest.fixture(scope="module")
@@ -46,43 +47,26 @@ def edge_map(graph):
 class TestGraphParity:
     def test_same_edges_and_weights(self, context, documents):
         linker = TenetLinker(context)
+        scalar_index = ScalarSimilarityIndex(context.embeddings)
         for text in documents[:6]:
             extraction = linker.pipeline.extract(text)
             by_mention = linker.generator.generate(extraction).by_mention
-            batch = build_coherence_graph(
-                by_mention, linker.similarity, similarity_mode="batch"
-            )
-            scalar = build_coherence_graph(
-                by_mention, linker.similarity, similarity_mode="scalar"
-            )
+            batch = build_coherence_graph(by_mention, linker.similarity)
+            scalar = build_coherence_graph(by_mention, scalar_index)
             left, right = edge_map(batch.graph), edge_map(scalar.graph)
             assert left.keys() == right.keys()
             for key in left:
                 assert left[key] == pytest.approx(right[key], abs=1e-9)
 
-    def test_unknown_mode_rejected(self, context, documents):
-        linker = TenetLinker(context)
-        extraction = linker.pipeline.extract(documents[0])
-        by_mention = linker.generator.generate(extraction).by_mention
-        with pytest.raises(ValueError):
-            build_coherence_graph(
-                by_mention, linker.similarity, similarity_mode="turbo"
-            )
-
 
 class TestEndToEndParity:
     def test_linking_output_byte_identical(self, context, documents):
-        batch_linker = TenetLinker(context, TenetConfig())
-        scalar_linker = TenetLinker(
-            context, TenetConfig(coherence_similarity_mode="scalar")
-        )
+        batch_linker = TenetLinker(context)
+        scalar_linker = TenetLinker(context)
+        scalar_linker.similarity = ScalarSimilarityIndex(context.embeddings)
         for text in documents:
             batched = batch_linker.link(text).to_json(include_timings=False)
             scalar = scalar_linker.link(text).to_json(include_timings=False)
             assert json.dumps(batched, sort_keys=True) == json.dumps(
                 scalar, sort_keys=True
             )
-
-    def test_config_validates_mode(self):
-        with pytest.raises(ValueError):
-            TenetConfig(coherence_similarity_mode="turbo")

@@ -20,7 +20,6 @@ from repro.core.disambiguation import (
     _ScanState,
     _sorted_cover_edges,
     disambiguate,
-    disambiguate_pairwise,
 )
 from repro.core.tree_cover import TreeCoverResult
 from repro.graph.tree import RootedTree
@@ -195,55 +194,3 @@ def _proposal(span, candidate):
     from repro.core.disambiguation import _Proposal
 
     return _Proposal(span, candidate, 0.1, from_coherence=False)
-
-
-class TestPairwiseScan:
-    def _coherence(self):
-        from repro.core.coherence import CoherenceGraph
-        from repro.graph.weighted_graph import WeightedGraph
-
-        a, b = noun("Alice", 0), noun("Bob", 5)
-        ca, ca2 = cand(a, "Q1"), cand(a, "Q2")
-        cb, cb2 = cand(b, "Q3"), cand(b, "Q4")
-        graph = WeightedGraph()
-        graph.add_edge(a, ca, 0.45)
-        graph.add_edge(a, ca2, 0.3)
-        graph.add_edge(b, cb2, 0.6)
-        graph.add_edge(ca, cb, 0.1)
-        coherence = CoherenceGraph(
-            graph,
-            [a, b],
-            {a: [ca, ca2], b: [cb, cb2]},
-            {ca: 0.55, ca2: 0.7, cb: 0.0, cb2: 0.4},
-        )
-        return a, b, ca, cb, coherence
-
-    def test_pairwise_commits_from_lightest_edge(self):
-        a, b, ca, cb, coherence = self._coherence()
-        result = disambiguate_pairwise(coherence, singleton_groups(a, b))
-        assert result.gamma[a] is ca
-        assert result.gamma[b] is cb
-        assert result.provenance[a].from_coherence
-
-    def test_pairwise_respects_prior_threshold(self):
-        a, b, ca, cb, coherence = self._coherence()
-        coherence.graph.remove_edge(ca, cb)
-        result = disambiguate_pairwise(
-            coherence, singleton_groups(a, b), prior_link_threshold=0.5
-        )
-        # Both mentions now commit from bare priors (0.3 and 0.6); only
-        # the weak one is demoted by the threshold.
-        assert a in result.gamma
-        assert b not in result.gamma
-        assert result.demoted == 1
-
-    def test_pairwise_skips_tree_cover(self, suite, suite_context):
-        from repro.core.linker import TenetLinker
-        from repro.core.config import TenetConfig
-
-        linker = TenetLinker(suite_context, TenetConfig(cover_mode="fast"))
-        diag = linker.link_detailed(suite.kore50.documents[0].text)
-        assert diag.cover is None
-        assert diag.cover_edge_count == 0
-        assert diag.stage_seconds["tree_cover"] == 0.0
-        assert diag.result.cover_mode == "fast"

@@ -99,6 +99,42 @@ class TestFailure:
             derive_tree_cover(coherence, bound=-1.0)
 
 
+def _one_mention_weak_candidates():
+    """One mention with four weak candidates and no coherence edges.
+
+    Its star tree (four ~0.95 prior edges) outweighs B = |M| = 1, the
+    split leaves two subtrees, and one mention can adopt only one.
+    """
+    span = Span("Kumar", 0, 1, 0, SpanKind.NOUN)
+    hits = [CandidateHit(f"Q{i}", 0.25, "entity") for i in range(4)]
+    return build_coherence_graph({span: hits}, _world_similarity(0))
+
+
+class TestDefaultBoundDoubling:
+    def test_infeasible_default_bound_is_doubled(self):
+        coherence = _one_mention_weak_candidates()
+        cover = derive_tree_cover(coherence)
+        assert cover.bound == 2.0
+        assert set(cover.trees) == set(coherence.mentions)
+        assert cover.cost() <= 4 * cover.bound + 1e-9
+
+    def test_explicit_bound_still_raises(self):
+        coherence = _one_mention_weak_candidates()
+        with pytest.raises(BoundTooSmallError):
+            derive_tree_cover(coherence, bound=1.0)
+
+    def test_one_mention_document_links(self, tenet):
+        # Seed-7 world: "Kumar." has one mention whose candidates cannot
+        # be covered within B = |M| = 1.
+        diagnostics = tenet.link_detailed("Kumar.")
+        assert diagnostics.cover.bound == 2.0
+        assert diagnostics.result.to_json(include_timings=False) == (
+            tenet.link("Kumar.").to_json(include_timings=False)
+        )
+        with pytest.raises(BoundTooSmallError):
+            derive_tree_cover(diagnostics.coherence, bound=1.0)
+
+
 class TestApproximationBound:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 1000))

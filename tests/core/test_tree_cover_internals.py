@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.coherence import CandidateNode, build_coherence_graph
-from repro.core.tree_cover import (
-    MAJOR_ROOT,
-    _contract,
-    _decompose,
-    derive_tree_cover,
-)
+from repro.core.tree_cover import MAJOR_ROOT, derive_tree_cover
 from repro.embeddings.similarity import SimilarityIndex
 from repro.embeddings.store import EmbeddingStore
 from repro.graph.mst import minimum_spanning_forest
 from repro.kb.alias_index import CandidateHit
 from repro.nlp.spans import Span, SpanKind
+from tests.core.oracles import _contract, _decompose
 
 
 @pytest.fixture

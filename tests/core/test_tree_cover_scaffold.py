@@ -1,10 +1,11 @@
 """Scaffold vs. reference Algorithm 1: identical covers, shared probes.
 
 The scaffolded :func:`derive_tree_cover` (flat integer-id edge arrays,
-masked Kruskal over one precomputed order) must reproduce the retained
-object-graph :func:`derive_tree_cover_reference` exactly — same trees,
-same edge sequences, same failures — both on randomized coherence
-graphs and on real pipeline graphs from the benchmark suite.
+masked Kruskal over one precomputed order) must reproduce the
+object-graph oracle :func:`tests.core.oracles.derive_tree_cover_reference`
+exactly — same trees, same edge sequences, same failures — both on
+randomized coherence graphs and on real pipeline graphs from the
+benchmark suite.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from repro.core.linker import LinkingContext, TenetLinker
 from repro.core.tree_cover import (
     BoundTooSmallError,
     derive_tree_cover,
-    derive_tree_cover_reference,
     minimal_feasible_bound,
 )
 from repro.datasets.benchmarks import build_benchmark_suite
@@ -24,6 +24,7 @@ from repro.embeddings.similarity import SimilarityIndex
 from repro.embeddings.store import EmbeddingStore
 from repro.kb.alias_index import CandidateHit
 from repro.nlp.spans import Span, SpanKind
+from tests.core.oracles import derive_tree_cover_reference
 
 
 def _world_similarity(seed, n_concepts=12, dim=16):

@@ -63,19 +63,6 @@ class TestBatchMatchesScalar:
             atol=1e-12,
         )
 
-    @settings(max_examples=30, deadline=None)
-    @given(embedding_matrices())
-    def test_precompute_cache_matches_batch(self, matrix):
-        ids, store = make_store(matrix)
-        index = SimilarityIndex(store)
-        batch = index.batch_similarity(ids)
-        index.precompute(ids)
-        for i, a in enumerate(ids):
-            for j in range(i + 1, len(ids)):
-                assert index.similarity(a, ids[j]) == pytest.approx(
-                    batch[i, j], abs=1e-12
-                )
-
 
 class TestBatchSemantics:
     @pytest.fixture

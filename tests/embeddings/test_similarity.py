@@ -50,17 +50,3 @@ class TestIndex:
         size = index.cache_size
         index.similarity("b", "a")
         assert index.cache_size == size
-
-    def test_precompute_fills_cache(self, index):
-        index.precompute(["a", "b", "c"])
-        assert index.cache_size == 3  # all unordered pairs
-
-    def test_precompute_skips_unknown_ids(self, index):
-        index.precompute(["a", "ghost"])
-        assert index.cache_size == 0
-
-    def test_precompute_matches_lazy(self, index):
-        lazy = index.similarity("a", "b")
-        fresh = SimilarityIndex(index._store)
-        fresh.precompute(["a", "b", "c"])
-        assert fresh.similarity("a", "b") == pytest.approx(lazy)

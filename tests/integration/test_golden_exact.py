@@ -2,7 +2,7 @@
 
 ``golden/exact_linking_scale010.json`` stores the full
 ``to_json(include_timings=False)`` payload of every document in the
-seed-7, scale-0.1 benchmark suite, linked with ``cover_mode="exact"``.
+seed-7, scale-0.1 benchmark suite, linked with the default config.
 Any behavioural drift in the exact pipeline — tokenisation, candidate
 generation, coherence weights, tree cover, greedy scan — shows up here
 as a diff, not as a silent quality change.
@@ -29,7 +29,7 @@ GOLDEN_PATH = (
 def current_payload():
     suite = build_benchmark_suite(seed=7, scale=0.1)
     context = LinkingContext.build(suite.world.kb, suite.world.taxonomy)
-    linker = TenetLinker(context, TenetConfig(cover_mode="exact"))
+    linker = TenetLinker(context, TenetConfig())
     return {
         document.doc_id: linker.link(document.text).to_json(
             include_timings=False

@@ -165,7 +165,7 @@ class TestLinkerCaches:
         caches = LinkerCaches.disabled()
         assert not caches.enabled
         snapshot = caches.snapshot()
-        assert snapshot["candidates"] is None and snapshot["similarity"] is None
+        assert snapshot["candidates"] is None
 
     def test_attach_and_snapshot(self, context):
         caches = LinkerCaches(LinkerCacheConfig(candidate_cache_size=64))
@@ -174,7 +174,6 @@ class TestLinkerCaches:
         snapshot = caches.snapshot(linker)
         assert snapshot["enabled"]
         assert snapshot["candidates"]["size"] > 0
-        assert snapshot["similarity"]["size"] >= 0
         assert "alias_fuzzy" in snapshot
 
     def test_attached_linker_matches_plain(self, context):

@@ -18,6 +18,7 @@ from repro.service import (
     ClusterConfig,
     LinkingService,
     LinkRequest,
+    ServiceClosedError,
     ServiceConfig,
     WorkerDiedError,
     create_cluster_service,
@@ -227,8 +228,9 @@ class TestWorkerDeath:
 class TestDrain:
     def test_close_resolves_every_inflight_future(self, snapshot_store, corpus):
         """Graceful drain: close() while requests are in flight resolves
-        every future with a real response or the clean 503 envelope —
-        never a hang."""
+        every future with a real response, the clean 503 envelope, or
+        (still queued at close) the typed shutdown rejection — never a
+        hang."""
         root, _warm = snapshot_store
         service = create_cluster_service(
             processes=2, snapshot_path=root, seed=SEED, scales=(SCALE,)
@@ -237,7 +239,7 @@ class TestDrain:
         try:
             for i in range(8):
                 futures.append(
-                    service.submit(
+                    service.admit(
                         LinkRequest(
                             text=corpus[i % len(corpus)],
                             request_id=f"drain-{i}",
@@ -251,7 +253,10 @@ class TestDrain:
             assert not closer.is_alive(), "cluster close() hung"
         for future in futures:
             assert future.done(), "a future was left pending across close()"
-            response = future.result(timeout=0)
+            try:
+                response = future.result(timeout=0)
+            except ServiceClosedError:
+                continue
             assert response.error is None or response.error.code == (
                 "unavailable"
             )

@@ -7,11 +7,7 @@ import time
 import pytest
 
 from repro.core.deadline import Deadline
-from repro.service.engine import (
-    LinkingService,
-    ServiceClosedError,
-    ServiceConfig,
-)
+from repro.service.engine import LinkingService, ServiceConfig
 from repro.service.schema import BatchLinkRequest, LinkRequest
 
 
@@ -166,51 +162,3 @@ class TestBatchDeadlineAnchoring:
                 # elapsed measures from each request's own submission.
                 assert r.elapsed_seconds < 0.45
             assert svc.metrics.counter("requests.timeouts") == 3
-
-
-class TestMicroBatcherShutdownRace:
-    def test_close_vs_enqueue_leaves_no_pending_future(self, suite_context):
-        # Hammer enqueue from several threads while close() lands: every
-        # accepted future must resolve (response or typed shutdown
-        # error), every rejected enqueue must raise the typed error, and
-        # nothing may hang.
-        for _ in range(3):
-            svc = LinkingService(
-                suite_context,
-                ServiceConfig(workers=2, batch_max_delay_seconds=0.001),
-            )
-            futures = []
-            futures_lock = threading.Lock()
-            errors = []
-
-            def hammer():
-                for _ in range(300):
-                    try:
-                        future = svc.enqueue(LinkRequest(text="short doc"))
-                    except ServiceClosedError:
-                        return
-                    except Exception as exc:  # pragma: no cover
-                        errors.append(exc)
-                        return
-                    with futures_lock:
-                        futures.append(future)
-
-            threads = [threading.Thread(target=hammer) for _ in range(4)]
-            for t in threads:
-                t.start()
-            time.sleep(0.01)
-            svc.close()
-            for t in threads:
-                t.join(timeout=30)
-                assert not t.is_alive()
-            assert not errors
-
-            for future in futures:
-                try:
-                    response = future.result(timeout=10)
-                except ServiceClosedError:
-                    continue  # drained behind the shutdown sentinel
-                assert response is not None
-
-            with pytest.raises(ServiceClosedError):
-                svc.enqueue(LinkRequest(text="too late"))

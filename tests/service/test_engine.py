@@ -7,7 +7,11 @@ import pytest
 from repro.core.linker import TenetLinker
 from repro.service.cache import LinkerCacheConfig
 from repro.service.engine import LinkingService, ServiceConfig
-from repro.service.schema import BatchLinkRequest, LinkRequest
+from repro.service.schema import (
+    BatchLinkRequest,
+    LinkRequest,
+    SessionFeedRequest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +84,8 @@ class TestParity:
         assert response.ok
         assert [r.result for r in response.responses] == sequential_payloads
 
-    def test_enqueue_matches_sequential(self, service, documents, sequential_payloads):
-        futures = [service.enqueue(LinkRequest(text=t)) for t in documents]
+    def test_admit_matches_sequential(self, service, documents, sequential_payloads):
+        futures = [service.admit(LinkRequest(text=t)) for t in documents]
         payloads = [f.result(timeout=60).result for f in futures]
         assert payloads == sequential_payloads
 
@@ -152,34 +156,29 @@ class TestMetricsIntegration:
             assert snapshot["latencies"]["stage.total"]["count"] == 3
             assert snapshot["caches"]["enabled"]
 
+    def test_queue_wait_observed_with_tracing_off(self, suite_context, documents):
+        config = ServiceConfig(
+            workers=2, trace_enabled=False, sessions_enabled=True
+        )
+        with LinkingService(suite_context, config) as svc:
+            svc.link(LinkRequest(text=documents[0]))
+            svc.link_admitted(LinkRequest(text=documents[1]))
+            svc.link_batch(BatchLinkRequest.of_texts(documents[2]))
+            feed = svc.session_feed_admitted(
+                "queue-wait", SessionFeedRequest(chunk=documents[3])
+            )
+            assert feed.error is None
+            snapshot = svc.snapshot()
+        assert snapshot["tracing"]["enabled"] is False
+        queue_wait = snapshot["latencies"]["latency.queue_wait"]
+        assert queue_wait["count"] == 4
+        assert queue_wait["min_seconds"] >= 0.0
+
     def test_request_id_echoed(self, suite_context, documents):
         with LinkingService(suite_context) as svc:
             response = svc.link(LinkRequest(text=documents[0], request_id="abc-1"))
             assert response.request_id == "abc-1"
             assert response.to_json()["request_id"] == "abc-1"
-
-
-class TestMicroBatcher:
-    def test_coalesces_up_to_max_size(self, suite_context, documents):
-        config = ServiceConfig(
-            workers=2, batch_max_size=4, batch_max_delay_seconds=0.2
-        )
-        with LinkingService(suite_context, config) as svc:
-            futures = [
-                svc.enqueue(LinkRequest(text=documents[i])) for i in range(4)
-            ]
-            for future in futures:
-                assert future.result(timeout=60).ok
-            assert svc.metrics.counter("batcher.documents") == 4
-            # With a generous delay window the four requests coalesce
-            # into at most two dispatch groups.
-            assert svc.metrics.counter("batcher.batches") <= 2
-
-    def test_closed_batcher_rejects(self, suite_context):
-        svc = LinkingService(suite_context, ServiceConfig(workers=1))
-        svc.close()
-        with pytest.raises(RuntimeError):
-            svc.enqueue(LinkRequest(text="too late"))
 
 
 class TestConfigValidation:
@@ -190,7 +189,3 @@ class TestConfigValidation:
     def test_bad_timeout(self):
         with pytest.raises(ValueError):
             ServiceConfig(default_timeout_seconds=-1)
-
-    def test_bad_batch(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(batch_max_size=0)

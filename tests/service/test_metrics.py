@@ -30,6 +30,35 @@ class TestLatencyHistogram:
         )
         assert p50 <= p90 <= p99
 
+    def test_quantile_interpolates_inside_the_bucket(self):
+        # Ten samples 11..20 ms all land in the (10, 25] ms bucket; the
+        # k-th of them sits k/10 of the way through it.
+        histogram = LatencyHistogram()
+        for ms in range(11, 21):
+            histogram.observe(ms / 1000.0)
+        assert histogram.quantile(0.5) == pytest.approx(0.0175)
+        assert histogram.quantile(0.2) == pytest.approx(0.013)
+        # Clamped to the observed extremes, never the bucket bounds.
+        assert histogram.quantile(0.0) == pytest.approx(0.011)
+        assert histogram.quantile(0.99) == pytest.approx(0.020)
+        assert histogram.quantile(1.0) == pytest.approx(0.020)
+
+    def test_quantile_across_buckets(self):
+        histogram = LatencyHistogram(buckets=(0.1, 0.2))
+        for value in (0.05, 0.05, 0.15, 0.15):
+            histogram.observe(value)
+        # The 2nd sample closes the first bucket; the 3rd is halfway
+        # through the second.
+        assert histogram.quantile(0.5) == pytest.approx(0.1)
+        assert histogram.quantile(0.625) == pytest.approx(0.125)
+
+    def test_quantile_in_overflow_bucket_stops_at_max(self):
+        histogram = LatencyHistogram(buckets=(0.1,))
+        histogram.observe(0.05)
+        histogram.observe(3.0)
+        assert histogram.quantile(0.75) == pytest.approx(1.55)
+        assert histogram.quantile(1.0) == pytest.approx(3.0)
+
     def test_empty(self):
         histogram = LatencyHistogram()
         assert histogram.quantile(0.5) is None

@@ -498,14 +498,15 @@ class TestShutdownDrain:
         with pytest.raises(ServiceClosedError):
             service.link_admitted(LinkRequest(text=DOC))
 
-    def test_submit_racing_close_never_leaks_runtime_error(
+    def test_admit_racing_close_never_leaks_runtime_error(
         self, suite_context, service_workers
     ):
         """Stress the submission-vs-shutdown window: threads hammering
-        link/submit/link_batch while close() runs must only ever see a
-        real response or the clean `unavailable` envelope — never the
-        executor's raw "cannot schedule new futures after shutdown"
-        RuntimeError (run with TENET_TEST_WORKERS=8 for contention)."""
+        link/admit/link_batch while close() runs must only ever see a
+        real response, the clean `unavailable` envelope, or admit's
+        typed ServiceClosedError — never the executor's raw "cannot
+        schedule new futures after shutdown" RuntimeError (run with
+        TENET_TEST_WORKERS=8 for contention)."""
         service = LinkingService(
             suite_context, ServiceConfig(workers=service_workers)
         )
@@ -529,7 +530,10 @@ class TestShutdownDrain:
                     if kind % 3 == 0:
                         record(service.link(request))
                     elif kind % 3 == 1:
-                        record(service.submit(request).result(timeout=30))
+                        try:
+                            record(service.admit(request).result(timeout=30))
+                        except ServiceClosedError:
+                            pass  # admit's documented post-close contract
                     else:
                         batch = service.link_batch(
                             BatchLinkRequest((request,))
@@ -560,11 +564,11 @@ class TestShutdownDrain:
                 "unavailable"
             ), f"unexpected envelope: {response.error}"
 
-    def test_enqueue_after_close_is_typed(self, suite_context):
+    def test_admit_after_close_is_typed(self, suite_context):
         service = LinkingService(suite_context, ServiceConfig(workers=1))
         service.close()
         with pytest.raises(ServiceClosedError):
-            service.enqueue(LinkRequest(text=DOC))
+            service.admit(LinkRequest(text=DOC))
 
 
 # ---------------------------------------------------------------------------

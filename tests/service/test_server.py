@@ -95,6 +95,21 @@ class TestEndpoints:
         assert len(payload["responses"]) == 3
         assert all(r["result"] is not None for r in payload["responses"])
 
+    def test_one_mention_document_is_answered(self, served):
+        # Its cover is infeasible at the paper's B = |M| = 1; the linker
+        # doubles B instead of failing, so neither /link nor a /batch
+        # that carries it turns into a 500.
+        status, payload = _request(served, "POST", "/link", {"text": "Kumar."})
+        assert status == 200
+        assert payload.get("error") is None
+        assert payload["result"] is not None
+        status, payload = _request(
+            served, "POST", "/batch", {"documents": ["Kumar.", "Brooklyn."]}
+        )
+        assert status == 200
+        assert [r.get("error") for r in payload["responses"]] == [None, None]
+        assert all(r["result"] is not None for r in payload["responses"])
+
     def test_metrics_reports_counters_and_caches(
         self, served, suite, service_workers
     ):

@@ -161,7 +161,6 @@ class _FakeSession:
         self.gate = gate
         self.increment = 0
         self.text = ""
-        self.config = type("Config", (), {"mode": "full"})()
 
     def feed(self, chunk, deadline=None, trace=None):
         if self.gate is not None:

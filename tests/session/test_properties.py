@@ -1,6 +1,6 @@
 """Property tests: any chunking converges, and counters reconcile.
 
-The headline session invariant — a full-mode session fed ANY
+The headline session invariant — a session fed ANY
 decomposition of a document (including mid-word cuts) ends in exactly
 the state a one-shot link of that document produces — is exercised here
 with hypothesis-drawn cut points over real gold documents.  The linker
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.session import SessionConfig, StreamingSession
+from repro.session import StreamingSession
 from tests.session.conftest import canonical
 
 SESSION_EXAMPLES = settings(
@@ -57,7 +57,7 @@ class TestAnyChunkingConverges:
         text = documents[0].text
         parts = cut_into(text, cuts)
         assert "".join(parts) == text
-        session = StreamingSession(linker, SessionConfig(mode="full"))
+        session = StreamingSession(linker)
         for part in parts:
             session.feed(part)
         assert session.text == text
@@ -71,7 +71,7 @@ class TestAnyChunkingConverges:
         # new/reused/removed must reconcile feed over feed no matter how
         # the text is cut: reused + new = total now, removed = lost.
         text = documents[1].text
-        session = StreamingSession(linker, SessionConfig(mode="full"))
+        session = StreamingSession(linker)
         previous_total = 0
         memo_hits = memo_misses = 0
         for part in cut_into(text, cuts):

@@ -1,4 +1,4 @@
-"""IncrementalLinker: parity, rollback, scoped re-solve, conversations."""
+"""IncrementalLinker: parity, rollback, conversations."""
 
 from __future__ import annotations
 
@@ -7,20 +7,15 @@ import random
 import pytest
 
 from repro.core.deadline import Deadline, DeadlineExceeded
-from repro.eval.metrics import (
-    aggregate,
-    score_entity_linking,
-    score_relation_linking,
-)
 from repro.session import ConversationSession, SessionConfig, StreamingSession
-from repro.session.workloads import split_text, stream_chunkings
+from repro.session.workloads import split_text
 from tests.session.conftest import canonical
 
 
 class TestFullMode:
     def test_byte_parity_with_one_shot(self, linker, stream_workloads):
         for workload in stream_workloads:
-            session = StreamingSession(linker, SessionConfig(mode="full"))
+            session = StreamingSession(linker)
             for chunk in workload.chunks:
                 outcome = session.feed(chunk)
             one_shot = linker.link(workload.text)
@@ -29,12 +24,12 @@ class TestFullMode:
 
     def test_byte_parity_survives_mid_word_cuts(self, linker, documents):
         # Cuts at arbitrary whitespace (not sentence-aligned) re-tokenise
-        # earlier text; full mode must still match one-shot exactly.
+        # earlier text; the session must still match one-shot exactly.
         text = documents[0].text
         rng = random.Random(3)
         parts = split_text(text, 5, rng, sentence_aligned=False)
         assert "".join(parts) == text
-        session = StreamingSession(linker, SessionConfig(mode="full"))
+        session = StreamingSession(linker)
         for part in parts:
             session.feed(part)
         assert canonical(session.result) == canonical(linker.link(text))
@@ -86,71 +81,6 @@ class TestMentionAccounting:
             assert previous_total > 0
 
 
-class TestScopedMode:
-    @pytest.mark.parametrize("sentence_aligned", [True, False])
-    def test_converges_within_tolerance(
-        self, linker, documents, sentence_aligned
-    ):
-        tolerance = 0.02
-        workloads = stream_chunkings(
-            documents,
-            chunks=4,
-            seed=7,
-            limit=6,
-            sentence_aligned=sentence_aligned,
-        )
-        by_doc_id = {document.doc_id: document for document in documents}
-        one_shot_entity, one_shot_relation = [], []
-        scoped_entity, scoped_relation = [], []
-        for workload in workloads:
-            session = StreamingSession(linker, SessionConfig(mode="scoped"))
-            for chunk in workload.chunks:
-                session.feed(chunk)
-            document = by_doc_id[workload.doc_id]
-            one_shot = linker.link(workload.text)
-            one_shot_entity.append(score_entity_linking(one_shot, document))
-            one_shot_relation.append(score_relation_linking(one_shot, document))
-            scoped_entity.append(score_entity_linking(session.result, document))
-            scoped_relation.append(
-                score_relation_linking(session.result, document)
-            )
-        assert abs(
-            aggregate(one_shot_entity).f1 - aggregate(scoped_entity).f1
-        ) <= tolerance
-        assert abs(
-            aggregate(one_shot_relation).f1 - aggregate(scoped_relation).f1
-        ) <= tolerance
-
-    def test_scoped_solves_actually_happen(self, linker, stream_workloads):
-        # Sentence-aligned chunks keep earlier tokenisation stable, so at
-        # least some increments must take the scoped path (otherwise the
-        # subsystem silently degraded to relink-everything).
-        solves = {}
-        for workload in stream_workloads:
-            session = StreamingSession(linker, SessionConfig(mode="scoped"))
-            for chunk in workload.chunks:
-                outcome = session.feed(chunk)
-                solves[outcome.solve] = solves.get(outcome.solve, 0) + 1
-        assert solves.get("initial", 0) == len(stream_workloads)
-        assert solves.get("scoped", 0) > 0
-
-    def test_guard_falls_back_when_everything_is_dirty(
-        self, linker, documents
-    ):
-        # A dirty fraction bound of ~0 makes every region too large, so
-        # every non-initial increment must take the full-solve fallback.
-        config = SessionConfig(mode="scoped", scoped_dirty_fraction=1e-9)
-        session = StreamingSession(linker, config)
-        parts = split_text(
-            documents[0].text, 4, random.Random(1), sentence_aligned=True
-        )
-        solves = []
-        for part in parts:
-            solves.append(session.feed(part).solve)
-        assert solves[0] == "initial"
-        assert all(solve == "full" for solve in solves[1:])
-
-
 class TestConversationSession:
     def test_turns_accumulate_seen_concepts(self, linker, documents):
         session = ConversationSession(linker)
@@ -182,18 +112,6 @@ class TestConversationSession:
 
 
 class TestConfigValidation:
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SessionConfig(mode="incremental")
-
-    def test_bad_guard_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            SessionConfig(scoped_dirty_fraction=0.0)
-        with pytest.raises(ValueError):
-            SessionConfig(scoped_dirty_fraction=1.5)
-        with pytest.raises(ValueError):
-            SessionConfig(scoped_mean_candidates=0.0)
-
     def test_bad_boost_rejected(self):
         with pytest.raises(ValueError):
             SessionConfig(context_prior_boost=1.5)
