@@ -39,6 +39,7 @@ an empty store pays the cold build once and persists it).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -776,6 +777,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tracing=service.tracer.enabled,
         snapshot=snapshot_info["id"] if snapshot_info else None,
     )
+    # Startup objects (the KB, alias index, caches' scaffolding) live as
+    # long as the server; moved out of the collector's generations, they
+    # are no longer re-scanned by every full collection inside a request.
+    gc.freeze()
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Set, Tuple
 
 from repro.nlp.features import classify_gap, contains_feature
-from repro.nlp.spans import Span, Token, spans_overlap
+from repro.nlp.spans import Span, SpanIndex, Token, spans_overlap
 
 _MAX_CHAIN_FOR_FULL_ENUMERATION = 6
 _MAX_CANOPIES = 24
@@ -86,15 +86,16 @@ def build_mention_groups(
     commit a reading.
     """
     inventory = sorted(noun_spans, key=lambda s: (s.token_start, s.token_end))
+    index = SpanIndex(inventory)
     short_mentions = _select_short_text_mentions(tokens, inventory)
     chains = _chain_short_mentions(tokens, short_mentions)
 
     groups: List[MentionGroup] = []
     assigned: Set[Span] = set()
     for chain in chains:
-        canopies = _generate_canopies(chain, inventory)
+        canopies = _generate_canopies(chain, index)
         if has_candidates is not None:
-            canopies = _add_fallback_canopies(canopies, inventory, has_candidates)
+            canopies = _add_fallback_canopies(canopies, index, has_candidates)
             canopies = tuple(
                 Canopy(
                     c.members,
@@ -111,13 +112,15 @@ def build_mention_groups(
     # overlapping an assigned span) are redundant alternatives and stay
     # groupless — the disambiguation algorithm treats groupless mentions
     # as dead.  Genuinely disjoint leftovers get singleton groups.
+    claimed = SpanIndex(assigned)
     for span in inventory:
         if span in assigned:
             continue
-        if any(spans_overlap(span, other) for other in assigned):
+        if any(spans_overlap(span, other) for other in claimed.overlapping(span)):
             continue
         groups.append(MentionGroup(len(groups), (span,), (Canopy((span,)),)))
         assigned.add(span)
+        claimed.add(span)
 
     for span in relation_spans:
         groups.append(MentionGroup(len(groups), (span,), (Canopy((span,)),)))
@@ -126,10 +129,14 @@ def build_mention_groups(
 
 def _add_fallback_canopies(
     canopies: Tuple[Canopy, ...],
-    inventory: List[Span],
+    index: SpanIndex,
     has_candidates,
 ) -> Tuple[Canopy, ...]:
-    """Variant canopies substituting candidate-less members (see above)."""
+    """Variant canopies substituting candidate-less members (see above).
+
+    The spans a member covers all start inside it, so the index's
+    start-token buckets hold every one, in inventory order.
+    """
     result: List[Canopy] = list(canopies)
     seen: Set[Tuple[Span, ...]] = {c.members for c in canopies}
     for canopy in canopies:
@@ -141,7 +148,7 @@ def _add_fallback_canopies(
                 continue
             inner = [
                 s
-                for s in inventory
+                for s in index.starting_within(member)
                 if member.covers(s)
                 and not s.same_range(member)
                 and has_candidates(s)
@@ -170,11 +177,20 @@ def _add_fallback_canopies(
 def _select_short_text_mentions(
     tokens: List[Token], inventory: List[Span]
 ) -> List[Span]:
-    """Maximal feature-free noun spans, in document order."""
+    """Maximal feature-free noun spans, in document order.
+
+    A span covering another contains its first token, so only the spans
+    at that token are tested.  Two distinct spans over one range cover
+    each other, and both drop out.
+    """
     feature_free = [s for s in inventory if not contains_feature(tokens, s)]
+    index = SpanIndex(feature_free)
     maximal: List[Span] = []
     for span in feature_free:
-        if any(other is not span and other.covers(span) for other in feature_free):
+        if any(
+            other is not span and other.covers(span)
+            for other in index.covering(span.token_start)
+        ):
             continue
         maximal.append(span)
     maximal.sort(key=lambda s: s.token_start)
@@ -212,7 +228,7 @@ def _chain_short_mentions(
 # ---------------------------------------------------------------------------
 
 def _generate_canopies(
-    chain: Sequence[Span], inventory: List[Span]
+    chain: Sequence[Span], index: SpanIndex
 ) -> Tuple[Canopy, ...]:
     """All contiguous-partition canopies of *chain*.
 
@@ -225,12 +241,12 @@ def _generate_canopies(
         return (Canopy((chain[0],)),)
     if len(chain) > _MAX_CHAIN_FOR_FULL_ENUMERATION:
         canopies = [Canopy(tuple(chain))]
-        full = _segment_spans(chain, 0, len(chain) - 1, inventory)
+        full = _segment_spans(chain, 0, len(chain) - 1, index)
         for span in full[:1]:
             canopies.append(Canopy((span,)))
         return tuple(canopies)
 
-    partitions = _partitions(chain, inventory)
+    partitions = _partitions(chain, index)
     canopies: List[Canopy] = []
     seen: Set[Tuple[Span, ...]] = set()
     for members in partitions:
@@ -244,7 +260,7 @@ def _generate_canopies(
 
 
 def _partitions(
-    chain: Sequence[Span], inventory: List[Span]
+    chain: Sequence[Span], index: SpanIndex
 ) -> List[List[Span]]:
     """Enumerate contiguous partitions (each as the resulting member list)."""
     n = len(chain)
@@ -260,7 +276,7 @@ def _partitions(
                 recurse(start + 1, acc)
                 acc.pop()
             else:
-                for merged in _segment_spans(chain, start, end, inventory):
+                for merged in _segment_spans(chain, start, end, index):
                     acc.append(merged)
                     recurse(end + 1, acc)
                     acc.pop()
@@ -272,7 +288,7 @@ def _partitions(
 
 
 def _segment_spans(
-    chain: Sequence[Span], start: int, end: int, inventory: List[Span]
+    chain: Sequence[Span], start: int, end: int, index: SpanIndex
 ) -> List[Span]:
     """Inventory spans realising the merge of chain[start..end]."""
     left = chain[start]
@@ -280,9 +296,8 @@ def _segment_spans(
     allowed_starts = {left.token_start, left.token_start + 1, left.token_start - 1}
     matches = [
         span
-        for span in inventory
-        if span.token_end == right.token_end
-        and span.token_start in allowed_starts
+        for span in index.ending_at(right.token_end)
+        if span.token_start in allowed_starts
         and span.token_start < right.token_start
     ]
     # Prefer the widest realisation (closest to the chain's full extent).

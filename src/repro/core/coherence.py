@@ -175,6 +175,12 @@ def build_coherence_graph(
     return CoherenceGraph(graph, mentions, candidates_by_mention, priors)
 
 
+#: Rows of the concept-edge weight matrix built at a time.  A block's
+#: temporaries (masks, prior blend, per-row argsort) are this many rows
+#: by n instead of n x n.
+_ROW_BLOCK = 256
+
+
 def _add_concept_edges(
     graph: WeightedGraph,
     all_nodes: List[CandidateNode],
@@ -195,42 +201,22 @@ def _add_concept_edges(
     sparsification that keeps the edge count linear in the candidate
     count without touching the light edges any downstream algorithm would
     ever pick.
+
+    The similarity block is the only n x n array: each block of
+    :data:`_ROW_BLOCK` rows is turned into weights in place (every cell
+    is read by its own row's block only), masked, and reduced to its
+    edges before the next block starts.
     """
     n = len(all_nodes)
     if n < 2:
         return
-    concept_ids = [node.concept_id for node in all_nodes]
-    sims = similarity.batch_similarity(concept_ids)
+    matrix = similarity.batch_similarity([node.concept_id for node in all_nodes])
 
     is_predicate = np.array([node.kind == "predicate" for node in all_nodes])
-    predicate_pair = is_predicate[:, None] | is_predicate[None, :]
-    sims = np.where(predicate_pair, sims * predicate_similarity_scale, sims)
-
     local = np.array([1.0 - priors[node] for node in all_nodes])
-    blend = coherence_prior_blend * (local[:, None] + local[None, :])
-    weights = np.clip(1.0 - sims + blend, 1e-9, max_concept_distance)
-    # Both are dead n x n float64 blocks; freed here, they are not held
-    # while the kNN step below allocates several more, which is the
-    # peak memory of linking a long document.
-    del sims, blend
-
-    mention_index: Dict[Span, int] = {}
-    mention_of = np.empty(n, dtype=np.int64)
-    starts = np.empty(n, dtype=np.int64)
-    ends = np.empty(n, dtype=np.int64)
-    sentences = np.empty(n, dtype=np.int64)
-    for i, node in enumerate(all_nodes):
-        mention_of[i] = mention_index.setdefault(node.mention, len(mention_index))
-        starts[i] = node.mention.token_start
-        ends[i] = node.mention.token_end
-        sentences[i] = node.mention.sentence_index
-
-    same_mention = mention_of[:, None] == mention_of[None, :]
-    overlapping = (starts[:, None] < ends[None, :]) & (
-        starts[None, :] < ends[:, None]
-    )
-    same_sentence = sentences[:, None] == sentences[None, :]
-    entity_pair = ~is_predicate[:, None] & ~is_predicate[None, :]
+    starts = np.array([node.mention.token_start for node in all_nodes])
+    ends = np.array([node.mention.token_end for node in all_nodes])
+    sentences = np.array([node.mention.sentence_index for node in all_nodes])
     # Identical concepts carry no coherence evidence: cos(c, c) = 1 would
     # be a degenerate zero-distance shortcut committing both mentions the
     # moment two phrases merely share a candidate.
@@ -241,46 +227,69 @@ def _add_concept_edges(
             for node in all_nodes
         ]
     )
-    same_concept = concept_of[:, None] == concept_of[None, :]
-    allowed = (
-        ~same_mention
-        & ~overlapping
-        & ~same_concept
-        & (entity_pair | same_sentence)
-    )
+    keep_all = max_neighbours is None or max_neighbours >= n
 
-    weights = np.where(allowed, weights, np.inf)
-    if max_neighbours is None or max_neighbours >= n:
-        neighbour_sets = [
-            np.nonzero(np.isfinite(weights[i]))[0] for i in range(n)
-        ]
-    else:
-        order = np.argsort(weights, axis=1)
-        neighbour_sets = [order[i, :max_neighbours] for i in range(n)]
+    row_parts: List[np.ndarray] = []
+    col_parts: List[np.ndarray] = []
+    weight_parts: List[np.ndarray] = []
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        weights = matrix[lo:hi]
+        predicate_pair = is_predicate[lo:hi, None] | is_predicate[None, :]
+        np.multiply(
+            weights, predicate_similarity_scale, out=weights, where=predicate_pair
+        )
+        np.subtract(1.0, weights, out=weights)
+        weights += coherence_prior_blend * (local[lo:hi, None] + local[None, :])
+        np.clip(weights, 1e-9, max_concept_distance, out=weights)
 
-    # Materialise the edges without the per-cell Python loop the kNN
-    # selection used to run (get_weight/add_edge per visited cell).  The
-    # visited cells in row-major order are the original scan sequence;
-    # each unordered pair keeps its *first* visit (which fixes the edge's
+        # Candidates of overlapping mentions (a mention overlaps itself),
+        # of the same concept, and predicate pairs across sentences are
+        # not connected.
+        blocked = (starts[lo:hi, None] < ends[None, :]) & (
+            starts[None, :] < ends[lo:hi, None]
+        )
+        blocked |= concept_of[lo:hi, None] == concept_of[None, :]
+        blocked |= predicate_pair & (sentences[lo:hi, None] != sentences[None, :])
+        np.putmask(weights, blocked, np.inf)
+
+        if keep_all:
+            rows, cols = np.nonzero(np.isfinite(weights))
+        else:
+            # np.argsort's tie order picks the neighbours; a partial sort
+            # would pick others among equal weights.
+            order = np.argsort(weights, axis=1)[:, :max_neighbours]
+            rows = np.repeat(np.arange(hi - lo), order.shape[1])
+            cols = order.ravel()
+            finite = np.isfinite(weights[rows, cols])
+            rows, cols = rows[finite], cols[finite]
+        row_parts.append(rows + lo)
+        col_parts.append(cols)
+        weight_parts.append(weights[rows, cols])
+
+    # Materialise the edges without a per-cell Python loop.  The visited
+    # cells in row-major order are the original scan sequence; each
+    # unordered pair keeps its *first* visit (which fixes the edge's
     # insertion position and orientation in the graph — downstream
     # tie-breaking depends on both) and the minimum weight over however
     # many directions visited it (which is the value the scan's
     # "overwrite if smaller" update converged to).
-    rows = np.repeat(np.arange(n), [len(s) for s in neighbour_sets])
-    cols = np.concatenate(neighbour_sets)
-    valid = (rows != cols) & np.isfinite(weights[rows, cols])
-    rows, cols = rows[valid], cols[valid]
+    rows = np.concatenate(row_parts)
+    cols = np.concatenate(col_parts)
+    visit_weights = np.concatenate(weight_parts)
+    if rows.size == 0:
+        return
     pair_keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
-    _, first_visit = np.unique(pair_keys, return_index=True)
-    first_visit.sort()
-    visited = np.zeros((n, n), dtype=bool)
-    visited[rows, cols] = True
-    final = np.where(
-        visited & visited.T, np.minimum(weights, weights.T), weights
+    _, first_visit, pair_of = np.unique(
+        pair_keys, return_index=True, return_inverse=True
     )
-    sources, targets = rows[first_visit], cols[first_visit]
-    edge_weights = final[sources, targets]
+    pair_weights = np.full(first_visit.size, np.inf)
+    np.minimum.at(pair_weights, pair_of, visit_weights)
+    sequence = np.argsort(first_visit)
+    first_visit = first_visit[sequence]
     for i, j, w in zip(
-        sources.tolist(), targets.tolist(), edge_weights.tolist()
+        rows[first_visit].tolist(),
+        cols[first_visit].tolist(),
+        pair_weights[sequence].tolist(),
     ):
         graph.add_edge(all_nodes[i], all_nodes[j], w)

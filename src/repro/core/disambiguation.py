@@ -42,7 +42,7 @@ from repro.core.canopies import MentionGroup
 from repro.core.coherence import CandidateNode
 from repro.core.deadline import Deadline
 from repro.core.tree_cover import TreeCoverResult
-from repro.nlp.spans import Span
+from repro.nlp.spans import Span, SpanIndex
 
 _Node = Union[Span, CandidateNode]
 
@@ -179,11 +179,11 @@ class _ScanState:
     """Mutable state of one greedy scan.
 
     Committed spans are indexed by token position (``claimed_tokens``)
-    and all candidate spans by the tokens they cover
-    (``spans_by_token``), so the two overlap sweeps of the scan — the
-    per-proposal cross-group check and the post-commit kill of
-    contradicting readings — cost O(span length) instead of a linear
-    scan over every committed/candidate span per edge.
+    and all candidate spans by the tokens they cover (``span_index``), so
+    the two overlap sweeps of the scan — the per-proposal cross-group
+    check and the post-commit kill of contradicting readings — cost
+    O(span length) instead of a linear scan over every committed/candidate
+    span per edge.
     """
 
     def __init__(self, mentions, groups: List[MentionGroup]) -> None:
@@ -192,10 +192,7 @@ class _ScanState:
             for span in group.spans():
                 self.span_to_group.setdefault(span, group)
         self.group_by_id = {g.group_id: g for g in groups}
-        self.spans_by_token: Dict[int, List[Span]] = {}
-        for span in self.span_to_group:
-            for token in range(span.token_start, span.token_end):
-                self.spans_by_token.setdefault(token, []).append(span)
+        self.span_index = SpanIndex(self.span_to_group)
         # token -> group ids whose committed mentions cover it
         self.claimed_tokens: Dict[int, Set[int]] = {}
         self.gamma: Dict[Span, _Proposal] = {}
@@ -300,10 +297,8 @@ class _ScanState:
             if span not in self.gamma:
                 self.dead_mentions.add(span)
         for committed in newly_committed:
-            for token in range(committed.token_start, committed.token_end):
-                for span in self.spans_by_token.get(token, ()):
-                    if span in self.gamma or span in self.dead_mentions:
-                        continue
+            for span in self.span_index.overlapping(committed):
+                if span not in self.gamma:
                     self.dead_mentions.add(span)
 
     def commit_deferred(self) -> None:

@@ -82,7 +82,8 @@ class SimilarityIndex:
         a single ``E @ E.T`` block, so the cost is one BLAS call instead
         of ``n^2/2`` Python-level cosine calls.  The unordered-pair
         cache is deliberately bypassed: filling it pair-by-pair is the
-        O(n^2) Python loop this path exists to avoid.
+        O(n^2) Python loop this path exists to avoid.  Every call returns
+        a new array, which the caller owns and may overwrite.
         """
         ids = list(concept_ids)
         n = len(ids)
@@ -93,9 +94,17 @@ class SimilarityIndex:
             return np.zeros((0, 0), dtype=np.float64)
         vectors, _ = self._store.rows(ids)
         matrix = vectors.astype(np.float64)
-        sims = np.clip(matrix @ matrix.T, -1.0, 1.0)
-        id_array = np.array(ids, dtype=object)
-        sims[id_array[:, None] == id_array[None, :]] = 1.0
+        sims = matrix @ matrix.T
+        np.clip(sims, -1.0, 1.0, out=sims)
+        # Same-id positions compared as integer codes: an object-dtype
+        # comparison of the ids is a Python call per cell.
+        code_of: Dict[str, int] = {}
+        codes = np.fromiter(
+            (code_of.setdefault(i, len(code_of)) for i in ids),
+            dtype=np.int64,
+            count=n,
+        )
+        np.putmask(sims, codes[:, None] == codes[None, :], 1.0)
         return sims
 
     def batch_distance(self, concept_ids: Sequence[str]) -> np.ndarray:

@@ -31,31 +31,29 @@ def resolve_pronouns(
     """
     resolved: Dict[int, Span] = {}
     sorted_regions = sorted(regions, key=lambda r: r.token_start)
+    # One forward sweep: pronouns come in token order, and the regions a
+    # pronoun may take are those before the first region (by start)
+    # ending after it, a prefix that only grows from one pronoun to the
+    # next.
+    position = 0
+    latest: Optional[Span] = None
+    latest_person: Optional[Span] = None
     for token, tag in zip(tokens, tags):
         if tag != pos.PRON or token.lower not in _SUBJECT_PRONOUNS:
             continue
-        antecedent = _find_antecedent(
-            token.index, token.lower, tokens, sorted_regions
-        )
+        while (
+            position < len(sorted_regions)
+            and sorted_regions[position].token_end <= token.index
+        ):
+            region = sorted_regions[position]
+            latest = region
+            if _looks_like_person(tokens, region):
+                latest_person = region
+            position += 1
+        antecedent = latest_person if token.lower in _PERSON_PRONOUNS else latest
         if antecedent is not None:
             resolved[token.index] = antecedent
     return resolved
-
-
-def _find_antecedent(
-    pronoun_index: int,
-    pronoun: str,
-    tokens: List[Token],
-    regions: List[Span],
-) -> Optional[Span]:
-    best: Optional[Span] = None
-    for region in regions:
-        if region.token_end > pronoun_index:
-            break
-        if pronoun in _PERSON_PRONOUNS and not _looks_like_person(tokens, region):
-            continue
-        best = region
-    return best
 
 
 def _looks_like_person(tokens: List[Token], region: Span) -> bool:

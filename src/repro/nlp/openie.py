@@ -19,7 +19,7 @@ predicate lookup, mirroring the paper's lemmatisation step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.nlp import pos
 from repro.nlp.lemmatizer import lemma_variants
@@ -57,11 +57,12 @@ class RelationExtractor:
         regions: List[Span],
     ) -> List[ExtractedRelation]:
         """All relational phrases, document order."""
+        by_sentence: Dict[int, List[Span]] = {}
+        for region in regions:
+            by_sentence.setdefault(region.sentence_index, []).append(region)
         relations: List[ExtractedRelation] = []
         for sentence in sentences:
-            in_sentence = [
-                r for r in regions if r.sentence_index == sentence.index
-            ]
+            in_sentence = by_sentence.get(sentence.index, [])
             in_sentence.sort(key=lambda r: r.token_start)
             relations.extend(
                 self._sentence_relations(text, tokens, tags, in_sentence)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -118,3 +118,57 @@ class Span:
 def spans_overlap(a: Span, b: Span) -> bool:
     """Whether two spans share at least one token position."""
     return a.token_start < b.token_end and b.token_start < a.token_end
+
+
+class SpanIndex:
+    """Spans bucketed by start token, end token and covered token.
+
+    The span scans of the link path (short-text selection, fallback and
+    leftover grouping, canopy segments, the disambiguation sweep) ask
+    which spans start, end, or sit at one token position.  A lookup
+    answers in O(bucket) instead of a scan over every span, so those
+    scans cost O(spans x nesting depth) rather than O(spans^2).
+
+    The index only narrows the candidates: callers still decide each case
+    with :meth:`Span.covers` or :func:`spans_overlap`.  Each bucket keeps
+    insertion order, so it lists its spans in the order a linear scan
+    over the inserted sequence meets them; for spans inserted sorted by
+    start, :meth:`starting_within` yields them in that scan's order too.
+    Equal spans added twice are kept twice (callers that need identity,
+    not equality, rely on it).
+    """
+
+    def __init__(self, spans: Iterable[Span] = ()) -> None:
+        self._by_start: Dict[int, List[Span]] = {}
+        self._by_end: Dict[int, List[Span]] = {}
+        self._by_token: Dict[int, List[Span]] = {}
+        for span in spans:
+            self.add(span)
+
+    def add(self, span: Span) -> None:
+        self._by_start.setdefault(span.token_start, []).append(span)
+        self._by_end.setdefault(span.token_end, []).append(span)
+        by_token = self._by_token
+        for token in range(span.token_start, span.token_end):
+            by_token.setdefault(token, []).append(span)
+
+    def ending_at(self, token: int) -> Sequence[Span]:
+        """Spans whose exclusive end is *token*."""
+        return self._by_end.get(token, ())
+
+    def covering(self, token: int) -> Sequence[Span]:
+        """Spans containing token position *token*."""
+        return self._by_token.get(token, ())
+
+    def starting_within(self, span: Span) -> Iterator[Span]:
+        """Spans starting inside *span*'s range, by start token.
+
+        Every span *span* covers is among them.
+        """
+        for token in range(span.token_start, span.token_end):
+            yield from self._by_start.get(token, ())
+
+    def overlapping(self, span: Span) -> Iterator[Span]:
+        """Spans sharing a token with *span* (repeated once per shared token)."""
+        for token in range(span.token_start, span.token_end):
+            yield from self._by_token.get(token, ())

@@ -48,6 +48,7 @@ single-process engine.
 from __future__ import annotations
 
 import bisect
+import gc
 import hashlib
 import multiprocessing
 import shutil
@@ -177,6 +178,8 @@ def _worker_main(boot: _WorkerBoot, conn) -> None:
         snapshot_info=warm.info(),
     )
     last_counters: Dict[str, int] = {}
+    # As in ``serve``: keep the boot state out of full collections.
+    gc.freeze()
     try:
         conn.send(("ready", boot.worker_id, time.perf_counter() - started))
         while True:

@@ -8,14 +8,34 @@
   reproduce it edge for edge.
 * :func:`scalar_similarity_matrix` — the per-pair form of
   :meth:`repro.embeddings.similarity.SimilarityIndex.batch_similarity`.
+* :func:`object_mask_similarity` and :func:`dense_concept_edges` — the
+  batched similarity with its object-dtype same-id mask, and the concept
+  edges built from whole n x n weight, mask, argsort and visit arrays:
+  the form the row-blocked :func:`repro.core.coherence._add_concept_edges`
+  must reproduce edge for edge (order, orientation, weight).
+* :func:`build_mention_groups_reference`, :func:`resolve_pronouns_reference`
+  and :func:`extract_relations_reference` — grouping, co-reference and
+  Open IE with their all-pairs span scans: every short-text candidate
+  against every other, every fallback member and canopy segment against
+  the whole inventory, every leftover against every assigned span, every
+  pronoun against every region, every sentence against every region.
+  The :class:`repro.nlp.spans.SpanIndex` lookups replace those scans and
+  must give the same groups, antecedents and relations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.canopies import (
+    _MAX_CANOPIES,
+    _MAX_CHAIN_FOR_FULL_ENUMERATION,
+    Canopy,
+    MentionGroup,
+    _chain_short_mentions,
+)
 from repro.core.coherence import CandidateNode, CoherenceGraph
 from repro.core.deadline import Deadline
 from repro.core.splitting import split_tree
@@ -29,7 +49,11 @@ from repro.embeddings.similarity import SimilarityIndex
 from repro.graph.mst import minimum_spanning_forest
 from repro.graph.tree import RootedTree
 from repro.graph.weighted_graph import WeightedGraph
-from repro.nlp.spans import Span
+from repro.nlp import pos
+from repro.nlp.coref import _PERSON_PRONOUNS, _SUBJECT_PRONOUNS, _looks_like_person
+from repro.nlp.features import contains_feature
+from repro.nlp.openie import ExtractedRelation, RelationExtractor
+from repro.nlp.spans import Sentence, Span, Token, spans_overlap
 
 
 def _contract(
@@ -186,3 +210,316 @@ class ScalarSimilarityIndex(SimilarityIndex):
 
     def batch_similarity(self, concept_ids) -> np.ndarray:
         return scalar_similarity_matrix(self, list(concept_ids))
+
+
+def object_mask_similarity(
+    similarity: SimilarityIndex, concept_ids: Sequence[str]
+) -> np.ndarray:
+    """The batched similarity block with an object-dtype same-id mask."""
+    ids = list(concept_ids)
+    if not ids:
+        return np.zeros((0, 0), dtype=np.float64)
+    vectors, _ = similarity._store.rows(ids)
+    matrix = vectors.astype(np.float64)
+    sims = np.clip(matrix @ matrix.T, -1.0, 1.0)
+    id_array = np.array(ids, dtype=object)
+    sims[id_array[:, None] == id_array[None, :]] = 1.0
+    return sims
+
+
+def dense_concept_edges(
+    all_nodes: List[CandidateNode],
+    priors: Dict[CandidateNode, float],
+    similarity: SimilarityIndex,
+    max_concept_distance: float = 1.0,
+    predicate_similarity_scale: float = 0.75,
+    coherence_prior_blend: float = 0.06,
+    max_neighbours: Optional[int] = 12,
+) -> List[Tuple[CandidateNode, CandidateNode, float]]:
+    """Concept-concept edges from whole n x n arrays, in insertion order.
+
+    Each unordered pair keeps its first visit in row-major order (which
+    fixes its position and orientation) and the minimum weight over the
+    directions that visited it, read off n x n ``visited`` / ``final``
+    arrays.
+    """
+    n = len(all_nodes)
+    if n < 2:
+        return []
+    sims = object_mask_similarity(
+        similarity, [node.concept_id for node in all_nodes]
+    )
+    is_predicate = np.array([node.kind == "predicate" for node in all_nodes])
+    predicate_pair = is_predicate[:, None] | is_predicate[None, :]
+    sims = np.where(predicate_pair, sims * predicate_similarity_scale, sims)
+    local = np.array([1.0 - priors[node] for node in all_nodes])
+    blend = coherence_prior_blend * (local[:, None] + local[None, :])
+    weights = np.clip(1.0 - sims + blend, 1e-9, max_concept_distance)
+
+    mention_index: Dict[Span, int] = {}
+    mention_of = np.empty(n, dtype=np.int64)
+    starts = np.empty(n, dtype=np.int64)
+    ends = np.empty(n, dtype=np.int64)
+    sentences = np.empty(n, dtype=np.int64)
+    for i, node in enumerate(all_nodes):
+        mention_of[i] = mention_index.setdefault(node.mention, len(mention_index))
+        starts[i] = node.mention.token_start
+        ends[i] = node.mention.token_end
+        sentences[i] = node.mention.sentence_index
+    same_mention = mention_of[:, None] == mention_of[None, :]
+    overlapping = (starts[:, None] < ends[None, :]) & (
+        starts[None, :] < ends[:, None]
+    )
+    same_sentence = sentences[:, None] == sentences[None, :]
+    entity_pair = ~is_predicate[:, None] & ~is_predicate[None, :]
+    concept_index: Dict[str, int] = {}
+    concept_of = np.array(
+        [
+            concept_index.setdefault(node.concept_id, len(concept_index))
+            for node in all_nodes
+        ]
+    )
+    same_concept = concept_of[:, None] == concept_of[None, :]
+    allowed = (
+        ~same_mention
+        & ~overlapping
+        & ~same_concept
+        & (entity_pair | same_sentence)
+    )
+    weights = np.where(allowed, weights, np.inf)
+    if max_neighbours is None or max_neighbours >= n:
+        neighbour_sets = [
+            np.nonzero(np.isfinite(weights[i]))[0] for i in range(n)
+        ]
+    else:
+        order = np.argsort(weights, axis=1)
+        neighbour_sets = [order[i, :max_neighbours] for i in range(n)]
+
+    rows = np.repeat(np.arange(n), [len(s) for s in neighbour_sets])
+    cols = np.concatenate(neighbour_sets)
+    valid = (rows != cols) & np.isfinite(weights[rows, cols])
+    rows, cols = rows[valid], cols[valid]
+    pair_keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    _, first_visit = np.unique(pair_keys, return_index=True)
+    first_visit.sort()
+    visited = np.zeros((n, n), dtype=bool)
+    visited[rows, cols] = True
+    final = np.where(
+        visited & visited.T, np.minimum(weights, weights.T), weights
+    )
+    sources, targets = rows[first_visit], cols[first_visit]
+    edge_weights = final[sources, targets]
+    return [
+        (all_nodes[i], all_nodes[j], w)
+        for i, j, w in zip(
+            sources.tolist(), targets.tolist(), edge_weights.tolist()
+        )
+    ]
+
+
+# ---------------------------------------------------------------------------
+# grouping (Algorithm 4) with all-pairs span scans
+# ---------------------------------------------------------------------------
+
+def build_mention_groups_reference(
+    tokens: List[Token],
+    noun_spans: List[Span],
+    relation_spans: List[Span],
+    has_candidates=None,
+) -> List[MentionGroup]:
+    """:func:`repro.core.canopies.build_mention_groups`, scanning all pairs."""
+    inventory = sorted(noun_spans, key=lambda s: (s.token_start, s.token_end))
+    short_mentions = _select_short_text_mentions(tokens, inventory)
+    chains = _chain_short_mentions(tokens, short_mentions)
+
+    groups: List[MentionGroup] = []
+    assigned: Set[Span] = set()
+    for chain in chains:
+        canopies = _generate_canopies(chain, inventory)
+        if has_candidates is not None:
+            canopies = _add_fallback_canopies(canopies, inventory, has_candidates)
+            canopies = tuple(
+                Canopy(
+                    c.members,
+                    all(has_candidates(m) for m in c.members),
+                )
+                for c in canopies
+            )
+        group = MentionGroup(len(groups), tuple(chain), canopies)
+        groups.append(group)
+        assigned |= group.spans()
+
+    for span in inventory:
+        if span in assigned:
+            continue
+        if any(spans_overlap(span, other) for other in assigned):
+            continue
+        groups.append(MentionGroup(len(groups), (span,), (Canopy((span,)),)))
+        assigned.add(span)
+
+    for span in relation_spans:
+        groups.append(MentionGroup(len(groups), (span,), (Canopy((span,)),)))
+    return groups
+
+
+def _add_fallback_canopies(
+    canopies: Tuple[Canopy, ...],
+    inventory: List[Span],
+    has_candidates,
+) -> Tuple[Canopy, ...]:
+    result: List[Canopy] = list(canopies)
+    seen: Set[Tuple[Span, ...]] = {c.members for c in canopies}
+    for canopy in canopies:
+        replaced: List[Span] = []
+        changed = False
+        for member in canopy.members:
+            if has_candidates(member):
+                replaced.append(member)
+                continue
+            inner = [
+                s
+                for s in inventory
+                if member.covers(s)
+                and not s.same_range(member)
+                and has_candidates(s)
+            ]
+            if inner:
+                inner.sort(key=lambda s: (-s.length, -s.token_start))
+                replaced.append(inner[0])
+                changed = True
+            else:
+                replaced.append(member)
+        if changed:
+            key = tuple(replaced)
+            if key not in seen:
+                seen.add(key)
+                result.append(Canopy(key))
+    return tuple(result)
+
+
+def _select_short_text_mentions(
+    tokens: List[Token], inventory: List[Span]
+) -> List[Span]:
+    feature_free = [s for s in inventory if not contains_feature(tokens, s)]
+    maximal: List[Span] = []
+    for span in feature_free:
+        if any(other is not span and other.covers(span) for other in feature_free):
+            continue
+        maximal.append(span)
+    maximal.sort(key=lambda s: s.token_start)
+    return maximal
+
+
+def _generate_canopies(
+    chain: Sequence[Span], inventory: List[Span]
+) -> Tuple[Canopy, ...]:
+    if len(chain) == 1:
+        return (Canopy((chain[0],)),)
+    if len(chain) > _MAX_CHAIN_FOR_FULL_ENUMERATION:
+        canopies = [Canopy(tuple(chain))]
+        full = _segment_spans(chain, 0, len(chain) - 1, inventory)
+        for span in full[:1]:
+            canopies.append(Canopy((span,)))
+        return tuple(canopies)
+
+    canopies: List[Canopy] = []
+    seen: Set[Tuple[Span, ...]] = set()
+    for members in _partitions(chain, inventory):
+        key = tuple(members)
+        if key not in seen:
+            seen.add(key)
+            canopies.append(Canopy(key))
+        if len(canopies) >= _MAX_CANOPIES:
+            break
+    return tuple(canopies)
+
+
+def _partitions(
+    chain: Sequence[Span], inventory: List[Span]
+) -> List[List[Span]]:
+    n = len(chain)
+    results: List[List[Span]] = []
+
+    def recurse(start: int, acc: List[Span]) -> None:
+        if start == n:
+            results.append(list(acc))
+            return
+        for end in range(start, n):
+            if end == start:
+                acc.append(chain[start])
+                recurse(start + 1, acc)
+                acc.pop()
+            else:
+                for merged in _segment_spans(chain, start, end, inventory):
+                    acc.append(merged)
+                    recurse(end + 1, acc)
+                    acc.pop()
+
+    recurse(0, [])
+    return results
+
+
+def _segment_spans(
+    chain: Sequence[Span], start: int, end: int, inventory: List[Span]
+) -> List[Span]:
+    left = chain[start]
+    right = chain[end]
+    allowed_starts = {left.token_start, left.token_start + 1, left.token_start - 1}
+    matches = [
+        span
+        for span in inventory
+        if span.token_end == right.token_end
+        and span.token_start in allowed_starts
+        and span.token_start < right.token_start
+    ]
+    matches.sort(key=lambda s: (-s.length, s.token_start))
+    return matches[:2]
+
+
+# ---------------------------------------------------------------------------
+# co-reference and Open IE with per-pronoun / per-sentence scans
+# ---------------------------------------------------------------------------
+
+def resolve_pronouns_reference(
+    tokens: List[Token], tags: List[str], regions: List[Span]
+) -> Dict[int, Span]:
+    """:func:`repro.nlp.coref.resolve_pronouns`, rescanning every region
+    for each pronoun (the scan stops at the first region, by start, that
+    ends after the pronoun)."""
+    resolved: Dict[int, Span] = {}
+    sorted_regions = sorted(regions, key=lambda r: r.token_start)
+    for token, tag in zip(tokens, tags):
+        if tag != pos.PRON or token.lower not in _SUBJECT_PRONOUNS:
+            continue
+        best: Optional[Span] = None
+        for region in sorted_regions:
+            if region.token_end > token.index:
+                break
+            if token.lower in _PERSON_PRONOUNS and not _looks_like_person(
+                tokens, region
+            ):
+                continue
+            best = region
+        if best is not None:
+            resolved[token.index] = best
+    return resolved
+
+
+def extract_relations_reference(
+    extractor: RelationExtractor,
+    text: str,
+    tokens: List[Token],
+    tags: List[str],
+    sentences: List[Sentence],
+    regions: List[Span],
+) -> List[ExtractedRelation]:
+    """:meth:`RelationExtractor.extract`, filtering every region once per
+    sentence."""
+    relations: List[ExtractedRelation] = []
+    for sentence in sentences:
+        in_sentence = [r for r in regions if r.sentence_index == sentence.index]
+        in_sentence.sort(key=lambda r: r.token_start)
+        relations.extend(
+            extractor._sentence_relations(text, tokens, tags, in_sentence)
+        )
+    return relations

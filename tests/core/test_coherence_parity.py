@@ -4,17 +4,22 @@ Pins the acceptance criterion of the vectorised hot path: building the
 coherence graph from one ``E @ E.T`` block instead of per-pair cosine
 calls (the :class:`tests.core.oracles.ScalarSimilarityIndex` oracle)
 must not change the graph, and end-to-end linking output must be
-byte-identical.
+byte-identical.  The row-blocked concept edges must be the edges the
+whole-matrix construction (:func:`tests.core.oracles.dense_concept_edges`)
+adds, in the same order, orientation and weight.
 """
 
 import json
 
 import pytest
 
-from repro.core.coherence import build_coherence_graph
+from repro.core import coherence as coherence_module
+from repro.core.coherence import CandidateNode, build_coherence_graph
 from repro.core.linker import LinkingContext, TenetLinker
 from repro.datasets.benchmarks import build_benchmark_suite
-from tests.core.oracles import ScalarSimilarityIndex
+from repro.datasets.generator import DocumentGenerator, DocumentSpec
+from repro.graph.weighted_graph import WeightedGraph
+from tests.core.oracles import ScalarSimilarityIndex, dense_concept_edges
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +75,82 @@ class TestEndToEndParity:
             assert json.dumps(batched, sort_keys=True) == json.dumps(
                 scalar, sort_keys=True
             )
+
+
+class _RecordingGraph(WeightedGraph):
+    """A graph that remembers every ``add_edge`` call, in order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = []
+
+    def add_edge(self, u, v, weight):
+        self.calls.append((u, v, weight))
+        super().add_edge(u, v, weight)
+
+
+def _fig7_document(world, facts):
+    """A Fig. 7 runtime-vs-length document (the efficiency study's spec)."""
+    spec = DocumentSpec(
+        domain="computer_science",
+        facts=facts,
+        isolated_facts=max(1, facts // 8),
+        non_linkable_noun_sentences=1,
+        non_linkable_relation_sentences=1,
+        filler_sentences=facts,
+        pronoun_prob=0.2,
+        title_facts=1,
+    )
+    return DocumentGenerator(world, seed=99).generate(f"fig7-{facts}", spec).text
+
+
+class TestConceptEdgeSequence:
+    def _assert_same_sequence(self, linker, text, max_neighbours, monkeypatch):
+        extraction = linker.pipeline.extract(text)
+        by_mention = linker.generator.generate(extraction).by_mention
+        config = linker.config
+        monkeypatch.setattr(coherence_module, "WeightedGraph", _RecordingGraph)
+        built = build_coherence_graph(
+            by_mention,
+            linker.similarity,
+            predicate_similarity_scale=config.predicate_similarity_scale,
+            prior_distance_floor=config.prior_distance_floor,
+            coherence_prior_blend=config.coherence_prior_blend,
+            prior_distance_curve=config.prior_distance_curve,
+            max_neighbours=max_neighbours,
+        )
+        monkeypatch.undo()
+        nodes = built.candidate_nodes()
+        actual = [
+            call
+            for call in built.graph.calls
+            if isinstance(call[0], CandidateNode) and isinstance(call[1], CandidateNode)
+        ]
+        expected = dense_concept_edges(
+            nodes,
+            built.priors,
+            linker.similarity,
+            predicate_similarity_scale=config.predicate_similarity_scale,
+            coherence_prior_blend=config.coherence_prior_blend,
+            max_neighbours=max_neighbours,
+        )
+        # Exact: node identity and orientation of every edge, and every
+        # weight to the last bit.
+        assert len(actual) == len(expected)
+        assert actual == expected
+        return len(nodes)
+
+    @pytest.mark.parametrize("max_neighbours", [None, 12])
+    def test_long_document_spanning_several_row_blocks(
+        self, context, suite, max_neighbours, monkeypatch
+    ):
+        linker = TenetLinker(context)
+        text = _fig7_document(suite.world, 256)
+        nodes = self._assert_same_sequence(linker, text, max_neighbours, monkeypatch)
+        assert nodes > 3 * coherence_module._ROW_BLOCK
+
+    @pytest.mark.parametrize("max_neighbours", [None, 12])
+    def test_suite_documents(self, context, documents, max_neighbours, monkeypatch):
+        linker = TenetLinker(context)
+        for text in documents:
+            self._assert_same_sequence(linker, text, max_neighbours, monkeypatch)

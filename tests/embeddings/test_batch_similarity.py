@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.embeddings.similarity import SimilarityIndex
 from repro.embeddings.store import EmbeddingStore
+from tests.core.oracles import object_mask_similarity, scalar_similarity_matrix
 
 
 def make_store(matrix):
@@ -62,6 +63,34 @@ class TestBatchMatchesScalar:
             1.0 - index.batch_similarity(ids),
             atol=1e-12,
         )
+
+
+class TestRepeatedAndUnknownIds:
+    @settings(max_examples=60, deadline=None)
+    @given(embedding_matrices(), st.data())
+    def test_equals_scalar_oracle(self, matrix, data):
+        known, store = make_store(matrix)
+        ids = data.draw(
+            st.lists(
+                st.sampled_from(known + ["ghost", "phantom"]),
+                min_size=0,
+                max_size=3 * len(known),
+            )
+        )
+        index = SimilarityIndex(store)
+        batch = index.batch_similarity(ids)
+        scalar = scalar_similarity_matrix(index, ids)
+        assert batch.shape == scalar.shape == (len(ids), len(ids))
+        for i, a in enumerate(ids):
+            for j, b in enumerate(ids):
+                if a == b or a not in known or b not in known:
+                    # Same id: exactly 1 (known or not); an unknown id
+                    # against another id: exactly 0.
+                    assert batch[i, j] == scalar[i, j]
+                else:
+                    assert batch[i, j] == pytest.approx(scalar[i, j], abs=1e-9)
+        # Bit for bit what the object-dtype same-id mask produced.
+        assert np.array_equal(batch, object_mask_similarity(index, ids))
 
 
 class TestBatchSemantics:

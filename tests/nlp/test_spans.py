@@ -1,8 +1,9 @@
 """Span data-model tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.nlp.spans import Span, SpanKind, Token, spans_overlap
+from repro.nlp.spans import Span, SpanIndex, SpanKind, Token, spans_overlap
 
 
 def noun(start, end, text="x"):
@@ -66,3 +67,50 @@ class TestOverlap:
     def test_symmetric(self):
         a, b = noun(0, 4), noun(3, 8)
         assert spans_overlap(a, b) == spans_overlap(b, a)
+
+
+span_lists = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=6)
+    ).map(lambda r: noun(r[0], r[0] + r[1], f"s{r[0]}")),
+    max_size=25,
+)
+
+
+class TestSpanIndex:
+    """Each lookup returns exactly what a scan in insertion order would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(span_lists, st.integers(min_value=0, max_value=27))
+    def test_buckets_match_linear_scans(self, spans, token):
+        index = SpanIndex(spans)
+        assert list(index.ending_at(token)) == [
+            s for s in spans if s.token_end == token
+        ]
+        assert list(index.covering(token)) == [
+            s for s in spans if s.token_start <= token < s.token_end
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(span_lists, st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=8))
+    def test_range_lookups_hold_every_candidate(self, spans, start, length):
+        probe = noun(start, start + length)
+        index = SpanIndex(spans)
+        within = list(index.starting_within(probe))
+        assert within == sorted(
+            (s for s in spans if start <= s.token_start < probe.token_end),
+            key=lambda s: s.token_start,
+        )
+        assert {id(s) for s in spans if probe.covers(s)} <= {id(s) for s in within}
+        overlapping = list(index.overlapping(probe))
+        assert {id(s) for s in overlapping} == {
+            id(s) for s in spans if spans_overlap(probe, s)
+        }
+
+    def test_add_keeps_equal_spans_apart(self):
+        first, second = noun(1, 3), noun(1, 3)
+        index = SpanIndex([first])
+        index.add(second)
+        assert [id(s) for s in index.covering(2)] == [id(first), id(second)]
+        assert [id(s) for s in index.ending_at(3)] == [id(first), id(second)]
+        assert list(index.covering(5)) == []

@@ -1,10 +1,13 @@
 """CLI tests (in-process, via main())."""
 
+import gc
 import json
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.service.server import LinkingHTTPServer
 
 
 class TestParser:
@@ -113,6 +116,22 @@ class TestServeParser:
         assert args.workers == 2
         assert args.timeout == 1.5
         assert args.no_cache
+
+
+class TestServeStartup:
+    def test_startup_state_is_frozen_out_of_collections(
+        self, monkeypatch, context, capsys
+    ):
+        # Full collections inside requests would otherwise re-scan every
+        # object built at startup.
+        monkeypatch.setattr(cli, "_resolve_context", lambda args: (context, None))
+        monkeypatch.setattr(LinkingHTTPServer, "serve_forever", lambda self: None)
+        gc.unfreeze()
+        try:
+            assert main(["serve", "--port", "0", "--workers", "1"]) == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
 
 
 class TestEvaluate:
