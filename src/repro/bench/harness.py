@@ -178,9 +178,16 @@ def _measure_scale(
                 graph["candidate_nodes"] += coherence.concept_node_count
                 graph["nodes"] += coherence.graph.node_count
                 graph["edges"] += coherence.graph.edge_count
-                graph["total_weight"] += coherence.graph.total_weight()
+                graph["total_weight"] += float(
+                    coherence.local.sum() + coherence.w.sum()
+                )
+                # Every endpoint of every mention edge and concept edge.
+                n = len(coherence.candidates)
+                ends = np.concatenate(
+                    (n + coherence.owner, np.arange(n), coherence.u, coherence.v)
+                )
                 graph["max_degree"] = max(
-                    graph["max_degree"], coherence.graph.max_degree()
+                    graph["max_degree"], int(np.bincount(ends).max(initial=0))
                 )
                 graph["cover_edges"] += diagnostics.cover_edge_count
                 words += diagnostics.extraction.word_count

@@ -19,14 +19,19 @@ always well defined, even when two mentions share a candidate concept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.deadline import Deadline
 from repro.embeddings.similarity import SimilarityIndex
-from repro.graph.weighted_graph import WeightedGraph
 from repro.kb.alias_index import CandidateHit
 from repro.nlp.spans import Span
+
+# Sentinel for the contracted major root node of Algorithm 1, step (b)
+# (:mod:`repro.core.tree_cover`).  It is ranked with the graph's nodes
+# because Kruskal breaks weight ties on it too.
+MAJOR_ROOT = ("__tenet_major_root__",)
 
 
 @dataclass(frozen=True)
@@ -38,9 +43,9 @@ class CandidateNode:
     kind: str  # "entity" | "predicate"
 
     def __post_init__(self) -> None:
-        # Candidate nodes are graph keys in every adjacency dict; cache
-        # the hash like Span does (the mention's own hash is cached, so
-        # this tuple hash is cheap and computed exactly once).
+        # Candidate nodes key the dicts of the cover trees and the scan;
+        # cache the hash like Span does (the mention's own hash is
+        # cached, so this tuple hash is cheap and computed exactly once).
         object.__setattr__(
             self, "_hash", hash((self.mention, self.concept_id, self.kind))
         )
@@ -48,28 +53,73 @@ class CandidateNode:
     def __hash__(self) -> int:
         return self._hash
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
+        # Not only a debugging aid: this string orders ties and keys the
+        # scan pool's dedupe (see repr_ranks).
         return f"Cand({self.mention.text!r}->{self.concept_id})"
 
 
-@dataclass
-class CoherenceGraph:
-    """The weighted graph plus the mention/candidate bookkeeping."""
+_Node = Union[Span, CandidateNode]
 
-    graph: WeightedGraph
+
+def repr_ranks(nodes: Sequence[object]) -> np.ndarray:
+    """The dense rank of each node's ``repr``; equal strings share a rank.
+
+    These strings are load-bearing.  ``CandidateNode.__repr__``
+    (``Cand('<text>'-><id>)``) and the dataclass repr of :class:`Span`
+    break weight ties in Kruskal (Algorithm 1, step c), order the
+    neighbours of the decomposition DFS (step d) and break ties in the
+    greedy scan (Algorithm 5).  The scan pool also dedupes its edges on
+    the pair of endpoint reprs, so every occurrence of one surface with
+    one candidate counts as one node there.  Comparing ranks instead of
+    strings keeps each of those decisions exactly as the strings made
+    them, until the tie-breaks move to ids in document order.
+    """
+    reprs = [repr(node) for node in nodes]
+    dense = {text: rank for rank, text in enumerate(sorted(set(reprs)))}
+    return np.array([dense[text] for text in reprs], dtype=np.int64)
+
+
+class GraphSize(NamedTuple):
+    """The size of a coherence graph, counted as an object graph."""
+
+    node_count: int
+    edge_count: int
+
+
+@dataclass(eq=False)
+class CoherenceGraph:
+    """The knowledge coherence graph as integer edge arrays.
+
+    Node ids: the candidate nodes are ``0..n-1`` in
+    ``candidates_by_mention`` order (``candidates``), and the mentions
+    follow as ``n..n+m-1`` in ``mentions`` order (``nodes`` lists both).
+    Candidate ``k`` hangs off mention ``owner[k]`` through its own
+    mention edge, of weight ``local[k]``.  The concept edges are
+    ``(u[e], v[e], w[e])`` over candidate ids, in emission order: the
+    order, and the orientation, in which each pair was first visited.
+    Downstream tie-breaks follow that order.  ``rank`` holds the
+    :func:`repr_ranks` of ``nodes`` followed by that of
+    :data:`MAJOR_ROOT`.
+    """
+
     mentions: List[Span]
     candidates_by_mention: Dict[Span, List[CandidateNode]]
     priors: Dict[CandidateNode, float]
+    candidates: List[CandidateNode]
+    owner: np.ndarray
+    local: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    rank: np.ndarray
 
-    def mention_of(self, node: CandidateNode) -> Span:
-        return node.mention
+    @property
+    def nodes(self) -> List[_Node]:
+        return [*self.candidates, *self.mentions]
 
     def candidate_nodes(self) -> List[CandidateNode]:
-        return [
-            node
-            for nodes in self.candidates_by_mention.values()
-            for node in nodes
-        ]
+        return list(self.candidates)
 
     def local_distance(self, node: CandidateNode) -> float:
         """d(m, c) = 1 - P(c | m) for the node's own mention edge."""
@@ -81,7 +131,72 @@ class CoherenceGraph:
 
     @property
     def concept_node_count(self) -> int:
-        return sum(len(v) for v in self.candidates_by_mention.values())
+        return len(self.candidates)
+
+    @property
+    def graph(self) -> GraphSize:
+        """Node count (mentions + candidates) and edge count (mention
+        edges + concept edges), read as ``graph.node_count`` and
+        ``graph.edge_count`` by the stage trace and the benchmark's
+        tracer."""
+        return GraphSize(
+            len(self.mentions) + len(self.candidates),
+            len(self.candidates) + int(self.w.size),
+        )
+
+    def shared_edges(self, bound: float) -> "EdgeArrays":
+        """The edges every mention's own tree adds to the scan's pool.
+
+        Definition 6 lets trees share nodes and edges, and Sec. 4's
+        intuition says each tree T_i holds "all the nodes within a small
+        semantic distance" to its mention; the materialised cover keeps
+        one representative tree per component.  So, for each candidate
+        in id order, the pool re-adds (a) its own mention edge and then
+        (b) for each other mention it has an edge into, its nearest such
+        edge: the per-pair nearest relatedness T_i would retain.  Ties go
+        to the edge first in the candidate's adjacency, which is emission
+        order, and the mentions come in order of first appearance there.
+        Only edges of weight <= *bound* are kept.
+        """
+        n, m = len(self.candidates), len(self.mentions)
+        # Both directed copies of every concept edge, sorted into each
+        # candidate's adjacency order: by candidate, then emission index.
+        emitted = np.arange(self.w.size)
+        source = np.concatenate((self.u, self.v))
+        by_source = np.lexsort((np.concatenate((emitted, emitted)), source))
+        source = source[by_source]
+        target = np.concatenate((self.v, self.u))[by_source]
+        weight = np.concatenate((self.w, self.w))[by_source]
+        # One group per (candidate, other mention): its first edge of
+        # least weight (lexsort is stable), and where it first appears.
+        group = source * m + self.owner[target]
+        _, first = np.unique(group, return_index=True)
+        best = np.lexsort((weight, group))
+        leads = np.ones(best.size, dtype=bool)
+        leads[1:] = group[best[1:]] != group[best[:-1]]
+        best = best[leads]
+        # Each candidate's mention edge, then its groups.
+        order = np.lexsort(
+            (
+                np.concatenate((np.full(n, -1), first)),
+                np.concatenate((np.arange(n), source[best])),
+            )
+        )
+        u = np.concatenate((n + self.owner, source[best]))[order]
+        v = np.concatenate((np.arange(n), target[best]))[order]
+        w = np.concatenate((self.local, weight[best]))[order]
+        within = w <= bound
+        return EdgeArrays(self, u[within], v[within], w[within])
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeArrays:
+    """Edges ``(u[e], v[e], w[e])`` over the node ids of *graph*."""
+
+    graph: CoherenceGraph
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
 
 
 def build_coherence_graph(
@@ -93,6 +208,8 @@ def build_coherence_graph(
     coherence_prior_blend: float = 0.06,
     prior_distance_curve: float = 0.5,
     max_neighbours: Optional[int] = 12,
+    *,
+    deadline: Optional[Deadline] = None,
 ) -> CoherenceGraph:
     """Construct the knowledge coherence graph.
 
@@ -101,7 +218,8 @@ def build_coherence_graph(
     mention_candidates:
         Mapping mention span -> candidate hits (possibly empty — mentions
         without candidates become isolated mention nodes, the seed of
-        "new concept" detection).
+        "new concept" detection).  One mention's hits name distinct
+        concepts, as the alias index returns them: each hit is one node.
     similarity:
         The cached embedding similarity index; ``1 - cos`` values are
         clipped to ``[0, max_concept_distance]`` so unrelated concepts
@@ -137,14 +255,19 @@ def build_coherence_graph(
         Exponent applied to (1 - P) before the floor mapping; values
         below 1 push mid-confidence priors toward the weak end of the
         scale (see inline comment at the construction site).
+    deadline:
+        Checked after the similarity block and before each block of
+        concept-edge rows; raises
+        :class:`~repro.core.deadline.DeadlineExceeded` at stage
+        ``"coherence"`` on expiry.
     """
-    graph = WeightedGraph()
     mentions = list(mention_candidates)
     candidates_by_mention: Dict[Span, List[CandidateNode]] = {}
     priors: Dict[CandidateNode, float] = {}
-
-    for mention, hits in mention_candidates.items():
-        graph.add_node(mention)
+    candidates: List[CandidateNode] = []
+    owner: List[int] = []
+    local: List[float] = []
+    for index, (mention, hits) in enumerate(mention_candidates.items()):
         nodes: List[CandidateNode] = []
         for hit in hits:
             node = CandidateNode(mention, hit.concept_id, hit.kind)
@@ -155,24 +278,36 @@ def build_coherence_graph(
             # confident prior is much closer to "uninformative" than to
             # "half as good as certain", so ambiguous surnames must not
             # outrank tail-end genuine coherence.
-            local = prior_distance_floor + (1.0 - prior_distance_floor) * (
-                raw ** prior_distance_curve
+            local.append(
+                prior_distance_floor
+                + (1.0 - prior_distance_floor) * (raw ** prior_distance_curve)
             )
-            graph.add_edge(mention, node, local)
+            owner.append(index)
         candidates_by_mention[mention] = nodes
+        candidates.extend(nodes)
 
-    all_nodes = [n for nodes in candidates_by_mention.values() for n in nodes]
-    _add_concept_edges(
-        graph,
-        all_nodes,
+    u, v, w = _concept_edges(
+        candidates,
         priors,
         similarity,
         max_concept_distance,
         predicate_similarity_scale,
         coherence_prior_blend,
         max_neighbours,
+        deadline,
     )
-    return CoherenceGraph(graph, mentions, candidates_by_mention, priors)
+    return CoherenceGraph(
+        mentions,
+        candidates_by_mention,
+        priors,
+        candidates,
+        np.array(owner, dtype=np.int64),
+        np.array(local, dtype=np.float64),
+        u,
+        v,
+        w,
+        repr_ranks([*candidates, *mentions, MAJOR_ROOT]),
+    )
 
 
 #: Rows of the concept-edge weight matrix built at a time.  A block's
@@ -181,8 +316,7 @@ def build_coherence_graph(
 _ROW_BLOCK = 256
 
 
-def _add_concept_edges(
-    graph: WeightedGraph,
+def _concept_edges(
     all_nodes: List[CandidateNode],
     priors: Dict[CandidateNode, float],
     similarity: SimilarityIndex,
@@ -190,8 +324,9 @@ def _add_concept_edges(
     predicate_similarity_scale: float,
     coherence_prior_blend: float,
     max_neighbours: Optional[int],
-) -> None:
-    """Concept-concept edges, vectorised over all candidate pairs.
+    deadline: Optional[Deadline],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concept-concept edges ``(u, v, w)``, vectorised over all pairs.
 
     The pairwise weight matrix is one batched similarity block from the
     embedding store (the paper's pre-computed relatedness index; Sec. 6.2
@@ -209,7 +344,7 @@ def _add_concept_edges(
     """
     n = len(all_nodes)
     if n < 2:
-        return
+        return _NO_EDGES
     matrix = similarity.batch_similarity([node.concept_id for node in all_nodes])
 
     is_predicate = np.array([node.kind == "predicate" for node in all_nodes])
@@ -233,6 +368,8 @@ def _add_concept_edges(
     col_parts: List[np.ndarray] = []
     weight_parts: List[np.ndarray] = []
     for lo in range(0, n, _ROW_BLOCK):
+        if deadline is not None:
+            deadline.check("coherence")
         hi = min(lo + _ROW_BLOCK, n)
         weights = matrix[lo:hi]
         predicate_pair = is_predicate[lo:hi, None] | is_predicate[None, :]
@@ -267,18 +404,17 @@ def _add_concept_edges(
         col_parts.append(cols)
         weight_parts.append(weights[rows, cols])
 
-    # Materialise the edges without a per-cell Python loop.  The visited
-    # cells in row-major order are the original scan sequence; each
-    # unordered pair keeps its *first* visit (which fixes the edge's
-    # insertion position and orientation in the graph — downstream
-    # tie-breaking depends on both) and the minimum weight over however
-    # many directions visited it (which is the value the scan's
-    # "overwrite if smaller" update converged to).
+    # Reduce the visits to edges.  The visited cells in row-major order
+    # are the original scan sequence; each unordered pair keeps its
+    # *first* visit (which fixes the edge's emission position and
+    # orientation — downstream tie-breaking depends on both) and the
+    # minimum weight over however many directions visited it (which is
+    # the value the scan's "overwrite if smaller" update converged to).
     rows = np.concatenate(row_parts)
     cols = np.concatenate(col_parts)
     visit_weights = np.concatenate(weight_parts)
     if rows.size == 0:
-        return
+        return _NO_EDGES
     pair_keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
     _, first_visit, pair_of = np.unique(
         pair_keys, return_index=True, return_inverse=True
@@ -287,9 +423,11 @@ def _add_concept_edges(
     np.minimum.at(pair_weights, pair_of, visit_weights)
     sequence = np.argsort(first_visit)
     first_visit = first_visit[sequence]
-    for i, j, w in zip(
-        rows[first_visit].tolist(),
-        cols[first_visit].tolist(),
-        pair_weights[sequence].tolist(),
-    ):
-        graph.add_edge(all_nodes[i], all_nodes[j], w)
+    return rows[first_visit], cols[first_visit], pair_weights[sequence]
+
+
+_NO_EDGES = (
+    np.zeros(0, dtype=np.int64),
+    np.zeros(0, dtype=np.int64),
+    np.zeros(0, dtype=np.float64),
+)

@@ -38,8 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Union
 
+import numpy as np
+
 from repro.core.canopies import MentionGroup
-from repro.core.coherence import CandidateNode
+from repro.core.coherence import CandidateNode, EdgeArrays, repr_ranks
 from repro.core.deadline import Deadline
 from repro.core.tree_cover import TreeCoverResult
 from repro.nlp.spans import Span, SpanIndex
@@ -110,19 +112,21 @@ def disambiguate(
     cover: TreeCoverResult,
     groups: List[MentionGroup],
     prior_link_threshold: float = 1.0,
-    extra_edges: Optional[List[Tuple[_Node, _Node, float]]] = None,
+    extra_edges: Union[None, EdgeArrays, List[Tuple[_Node, _Node, float]]] = None,
     deadline: Optional[Deadline] = None,
 ) -> DisambiguationResult:
     """Run Algorithm 5 over the tree cover and the mention groups.
 
-    ``extra_edges`` are additional mention->candidate edges merged into
-    the scan.  The tree cover's trees share nodes and edges (Definition
-    6): each mention's tree is rooted through its *own* local edges, so
-    the union of cover edges includes every surviving prior edge even
-    when the contracted MST routed the component through a different
-    mention.  The caller supplies them here because
-    :class:`~repro.core.tree_cover.TreeCoverResult` materialises one
-    representative tree per component.
+    ``extra_edges`` are additional edges merged into the scan, as
+    arrays over a coherence graph's node ids (the linker passes
+    :meth:`~repro.core.coherence.CoherenceGraph.shared_edges`) or as
+    ``(u, v, weight)`` triples.  The tree cover's trees share nodes and
+    edges (Definition 6): each mention's tree is rooted through its
+    *own* local edges, so the union of cover edges includes every
+    surviving prior edge even when the contracted MST routed the
+    component through a different mention.  The caller supplies them
+    here because :class:`~repro.core.tree_cover.TreeCoverResult`
+    materialises one representative tree per component.
 
     With a *deadline*, the greedy edge scan checks the token every
     :data:`CHECK_EVERY` edges and raises
@@ -130,7 +134,7 @@ def disambiguate(
     anytime framing of Pair-Linking: cutting collective disambiguation
     short at a budget still leaves the prior-only answer usable.
     """
-    edges = _sorted_cover_edges(cover, extra_edges or [])
+    edges = _scan_edges(cover, extra_edges)
     state = _ScanState(cover.trees, groups)
     processed = 0
 
@@ -319,61 +323,81 @@ class _ScanState:
 # edge handling
 # ---------------------------------------------------------------------------
 
-def _mention_length(edge: Tuple[_Node, _Node, float]) -> int:
-    # Tie-break equal-weight edges toward longer (more informative)
-    # mentions, per the paper's preference for merged long-text
-    # readings over their fragments.
-    u, v, _ = edge
-    if isinstance(u, Span) and isinstance(v, CandidateNode):
-        return -u.length
-    if isinstance(v, Span) and isinstance(u, CandidateNode):
-        return -v.length
-    return 0
-
-
-def _sorted_cover_edges(
+def _scan_edges(
     cover: TreeCoverResult,
-    extra_edges: List[Tuple[_Node, _Node, float]],
+    extra_edges: Union[None, EdgeArrays, List[Tuple[_Node, _Node, float]]],
 ) -> List[Tuple[_Node, _Node, float]]:
-    """Deduplicated edges of all trees (+ extras), non-decreasing weight.
+    """The scan's edge pool: deduplicated edges, non-decreasing weight.
 
-    Same-endpoint duplicates keep the *minimum* weight: a tree edge and
-    a shared-pool extra edge can legitimately carry different weights
-    for the same pair (the shared pool re-derives per-mention nearest
-    edges), and the scan must see the most confident version — not
-    whichever happened to be pushed first.
+    The pool takes the cover's tree edges, then *extra_edges*: either
+    arrays over a coherence graph's node ids or ``(u, v, weight)``
+    triples.  Pushes are keyed by the unordered pair of endpoint repr
+    ranks (:func:`~repro.core.coherence.repr_ranks`, over mentions and
+    candidates together), so recurring occurrences of one surface with
+    one candidate share a key.  A key keeps the *minimum* weight: a
+    tree edge and a shared-pool edge can carry different weights for
+    the same pair, and the scan must see the most confident version.
+    Of the pushes at that weight, the earliest one's orientation is
+    kept.  Ties in weight go to longer mentions (the paper's preference
+    for merged long-text readings over their fragments), then to the
+    endpoint reprs, then to the pool position of the key's first push.
     """
-    reprs: Dict[_Node, str] = {}
-
-    def repr_of(node: _Node) -> str:
-        cached = reprs.get(node)
-        if cached is None:
-            cached = reprs[node] = repr(node)
-        return cached
-
-    index: Dict[Tuple[str, str], int] = {}
-    edges: List[Tuple[_Node, _Node, float]] = []
-
-    def push(u: _Node, v: _Node, weight: float) -> None:
-        ru, rv = repr_of(u), repr_of(v)
-        key = (ru, rv) if ru <= rv else (rv, ru)
-        at = index.get(key)
-        if at is None:
-            index[key] = len(edges)
-            edges.append((u, v, weight))
-        elif weight < edges[at][2]:
-            edges[at] = (u, v, weight)
-
-    for tree in cover.trees.values():
-        for edge in tree.edges():
-            push(edge.parent, edge.child, edge.weight)
-    for u, v, weight in extra_edges:
-        push(u, v, weight)
-
-    edges.sort(
-        key=lambda e: (e[2], _mention_length(e), repr_of(e[0]), repr_of(e[1]))
+    pushes = [
+        (edge.parent, edge.child, edge.weight)
+        for tree in cover.trees.values()
+        for edge in tree.edges()
+    ]
+    if isinstance(extra_edges, EdgeArrays):
+        nodes, rank = extra_edges.graph.nodes, extra_edges.graph.rank
+        tail = (extra_edges.u, extra_edges.v, extra_edges.w)
+    else:
+        pushes.extend(extra_edges or ())
+        nodes = list(dict.fromkeys(n for u, v, _ in pushes for n in (u, v)))
+        rank = repr_ranks(nodes)
+        no_ids = np.zeros(0, dtype=np.int64)
+        tail = (no_ids, no_ids, np.zeros(0))
+    index = {node: i for i, node in enumerate(nodes)}
+    u = np.concatenate(
+        (np.array([index[e[0]] for e in pushes], dtype=np.int64), tail[0])
     )
-    return edges
+    v = np.concatenate(
+        (np.array([index[e[1]] for e in pushes], dtype=np.int64), tail[1])
+    )
+    w = np.concatenate((np.array([e[2] for e in pushes], dtype=np.float64), tail[2]))
+    if w.size == 0:
+        return []
+
+    rank_u, rank_v = rank[u], rank[v]
+    keys = np.minimum(rank_u, rank_v) * (int(rank.max()) + 1) + np.maximum(
+        rank_u, rank_v
+    )
+    _, first, key_of = np.unique(keys, return_index=True, return_inverse=True)
+    least = np.full(first.size, np.inf)
+    np.minimum.at(least, key_of, w)
+    at_least = np.nonzero(w == least[key_of])[0]
+    kept = np.full(first.size, w.size)
+    np.minimum.at(kept, key_of[at_least], at_least)
+
+    length = np.array(
+        [node.length if isinstance(node, Span) else 0 for node in nodes],
+        dtype=np.int64,
+    )
+    length_u, length_v = length[u[kept]], length[v[kept]]
+    mention_length = np.where(
+        (length_u > 0) != (length_v > 0), length_u + length_v, 0
+    )
+    order = kept[
+        np.lexsort(
+            (first, rank_v[kept], rank_u[kept], -mention_length, least)
+        )
+    ]
+    # Object pushes come back as pushed; array pushes become triples.
+    return [
+        pushes[p] if p < len(pushes) else (nodes[a], nodes[b], weight)
+        for p, a, b, weight in zip(
+            order.tolist(), u[order].tolist(), v[order].tolist(), w[order].tolist()
+        )
+    ]
 
 
 def _touches_dead_mention(u: _Node, v: _Node, dead: Set[Span]) -> bool:

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.candidates import CandidateGenerator, MentionCandidates
 from repro.core.canopies import Canopy, MentionGroup, build_mention_groups
-from repro.core.coherence import CandidateNode, CoherenceGraph, build_coherence_graph
+from repro.core.coherence import CoherenceGraph, build_coherence_graph
 from repro.core.config import TenetConfig
 from repro.core.deadline import Deadline, DeadlineExceeded, PartialLinking
 from repro.core.disambiguation import DisambiguationResult, disambiguate
@@ -155,10 +155,11 @@ class TenetLinker:
     ) -> LinkingResult:
         """Link one document end to end.
 
-        With a *deadline*, each stage boundary (and the inner loops of
-        the tree-cover solve and the greedy disambiguation) checks the
-        token and raises :class:`~repro.core.deadline.DeadlineExceeded`
-        carrying the salvageable partial artefacts.  With a *trace*,
+        With a *deadline*, each stage boundary (and the row blocks of
+        the coherence build and the inner loops of the tree-cover solve
+        and the greedy disambiguation) checks the token and raises
+        :class:`~repro.core.deadline.DeadlineExceeded` carrying the
+        salvageable partial artefacts.  With a *trace*,
         each stage records a span carrying the stage's wall clock (the
         same measurement stored in ``result.stage_seconds``) and its
         size attributes (mention/candidate counts, graph sizes).
@@ -354,43 +355,9 @@ class TenetLinker:
             cover,
             groups,
             self.config.prior_link_threshold,
-            extra_edges=self._shared_edges(coherence, cover.bound),
+            extra_edges=coherence.shared_edges(cover.bound),
         )
         return self._to_result(disambiguation, candidates)
-
-    def _shared_edges(self, coherence: CoherenceGraph, bound: float):
-        """Edges every mention's own tree contributes to the shared pool.
-
-        Definition 6 lets trees share nodes and edges and Sec. 4's
-        intuition says each tree T_i holds "all the nodes within a small
-        semantic distance" to its mention; the materialised cover keeps
-        one representative tree per component, so here we re-add, for
-        each mention, (a) its surviving prior edges and (b) each of its
-        candidates' single nearest coherence edge — the closest related
-        node that T_i would contain.
-        """
-        edges = []
-        graph = coherence.graph
-        for mention, nodes in coherence.candidates_by_mention.items():
-            for node in nodes:
-                weight = graph.get_weight(mention, node)
-                if weight is not None and weight <= bound:
-                    edges.append((mention, node, weight))
-                # For each *other* mention, this candidate's closest edge
-                # into that mention's candidate set — the per-pair nearest
-                # relatedness T_i would retain.
-                best: dict = {}
-                for neighbour, w in graph.neighbours(node).items():
-                    if not isinstance(neighbour, CandidateNode):
-                        continue
-                    key = neighbour.mention
-                    current = best.get(key)
-                    if current is None or w < current[1]:
-                        best[key] = (neighbour, w)
-                for neighbour, w in best.values():
-                    if w <= bound:
-                        edges.append((node, neighbour, w))
-        return edges
 
     # ------------------------------------------------------------------
     # internals
@@ -416,6 +383,7 @@ class TenetLinker:
             coherence_prior_blend=self.config.coherence_prior_blend,
             prior_distance_curve=self.config.prior_distance_curve,
             max_neighbours=self.config.coherence_max_neighbours,
+            deadline=deadline,
         )
         timings["coherence"] = time.perf_counter() - stage
         if trace is not None:
@@ -468,7 +436,7 @@ class TenetLinker:
             cover,
             groups,
             self.config.prior_link_threshold,
-            extra_edges=self._shared_edges(coherence, cover.bound),
+            extra_edges=coherence.shared_edges(cover.bound),
             deadline=deadline,
         )
         timings["disambiguation"] = time.perf_counter() - stage

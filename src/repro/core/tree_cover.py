@@ -29,17 +29,19 @@ exceeds the heaviest mention tree (nothing is split any more).  An
 explicit bound is taken as given: it raises on failure, which is what
 the binary search (:func:`minimal_feasible_bound`) probes.
 
-Steps (a)-(d) run over :class:`_CoverScaffold`, a flat integer-id edge
-array built once per coherence graph: pruning is a numpy mask, the
-contraction is implicit in how the arrays are laid out, and Kruskal runs
-over a precomputed deterministic edge order with an integer union-find.
-The scaffold reproduces the edge sequences of the object-graph
-formulation (explicit contracted graph, object-keyed Kruskal) exactly —
-stream order, orientation and repr tie-breaking included — so the
-derived cover is byte-identical to it; the test suite keeps that
-formulation as an oracle and pins the two against each other.  Step (f)
-still builds the real pruned graph, but only lazily, in the rare case a
-split actually produced leftover subtrees.
+Steps (a)-(d) run over :class:`_CoverScaffold`, integer edge arrays
+taken from the coherence graph's own arrays once per graph: pruning is
+a numpy mask, the contraction is implicit in how the arrays are laid
+out, and Kruskal runs over one precomputed deterministic edge order
+(``np.lexsort`` on weight and endpoint repr ranks) with an integer
+union-find.  The scaffold reproduces the edge sequences of the
+object-graph formulation (explicit contracted graph, object-keyed
+Kruskal) exactly — stream order, orientation and repr tie-breaking
+included — so the derived cover is byte-identical to it; the test suite
+keeps that formulation as an oracle and pins the two against each other.
+Step (f) is the one step that needs an object graph (Dijkstra over the
+pruned graph, in :mod:`repro.graph.paths`).  It is built from the arrays
+only when a split leaves subtrees to match.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.coherence import CandidateNode, CoherenceGraph
+from repro.core.coherence import CoherenceGraph
 from repro.core.deadline import Deadline
 from repro.core.splitting import split_tree
 from repro.graph.matching import hopcroft_karp
@@ -58,10 +60,6 @@ from repro.graph.paths import dijkstra
 from repro.graph.tree import RootedTree
 from repro.graph.weighted_graph import WeightedGraph
 from repro.nlp.spans import Span
-
-# Sentinel for the contracted major root node of Step (b).
-MAJOR_ROOT = ("__tenet_major_root__",)
-
 
 class BoundTooSmallError(ValueError):
     """Raised when no tree cover of cost <= 4B exists for the given B."""
@@ -162,76 +160,37 @@ def derive_tree_cover(
 # ---------------------------------------------------------------------------
 
 class _CoverScaffold:
-    """Flat edge arrays for steps (a)-(d), built once per coherence graph.
+    """The contracted graph of Step (b) as edge arrays, built once per
+    coherence graph.
 
-    Node ids: 0 is :data:`MAJOR_ROOT`, 1..n the candidate nodes in
-    ``candidates_by_mention`` iteration order.  The edge arrays hold the
-    contracted graph of Step (b) in the exact sequence and orientation
-    its :class:`~repro.graph.weighted_graph.WeightedGraph` form would
-    emit from ``edges()`` (root edges in candidate-id order, then
-    candidate-candidate edges grouped by lower-id endpoint in
-    edge-stream order), and ``sorted_order`` is the Kruskal ordering —
-    non-decreasing weight, endpoint reprs breaking ties, stable over
-    that emission sequence.  Everything here is bound-independent:
-    Step (a) is a weight mask, so one scaffold serves every probe of
-    the minimal-bound binary search.
+    Node ids: 0 is :data:`~repro.core.coherence.MAJOR_ROOT`, ``k + 1``
+    the coherence graph's candidate ``k``.  The edges come in the order
+    the object form of the contracted graph emits them: the root edges
+    ``(0, k + 1)`` with the weight of candidate k's own mention edge,
+    then the concept edges oriented (low id, high id) and grouped by
+    the low id, in emission order within each group.  ``sorted_order``
+    is the Kruskal order: non-decreasing weight, endpoint repr ranks
+    breaking ties, stable over that sequence.  Everything here is
+    bound-independent: Step (a) is a weight mask, so one scaffold
+    serves every probe of the minimal-bound binary search.
     """
 
     def __init__(self, coherence: CoherenceGraph) -> None:
-        cand_ids: Dict[CandidateNode, int] = {}
-        cands: List[CandidateNode] = []
-        owners: List[Span] = []
-        for mention, nodes in coherence.candidates_by_mention.items():
-            for node in nodes:
-                cand_ids[node] = len(cands) + 1
-                cands.append(node)
-                owners.append(mention)
-        self.cands = cands
-        self.owners = owners
-        reprs = [repr(MAJOR_ROOT)]
-        reprs.extend(repr(node) for node in cands)
-        self.reprs = reprs
-
-        graph = coherence.graph
-        edge_u: List[int] = []
-        edge_v: List[int] = []
-        edge_w: List[float] = []
-        # Root edges of the contraction: candidate <-> major root with
-        # the weight of the candidate's own mention edge, in id order.
-        for node, mention in zip(cands, owners):
-            weight = graph.get_weight(mention, node)
-            if weight is not None:
-                edge_u.append(0)
-                edge_v.append(cand_ids[node])
-                edge_w.append(weight)
-        # Candidate-candidate edges.  The filtered edge stream of the
-        # coherence graph is exactly what the pruned copy would emit;
-        # the contracted graph re-emits it grouped by the lower-id
-        # endpoint with stream order within each group, which a stable
-        # sort on the lower id reproduces.
-        stream: List[Tuple[int, int, float]] = []
-        for u, v, w in graph.edges():
-            iu = cand_ids.get(u)
-            if iu is None:
-                continue
-            iv = cand_ids.get(v)
-            if iv is None:
-                continue
-            stream.append((iu, iv, w) if iu < iv else (iv, iu, w))
-        stream.sort(key=lambda e: e[0])
-        for lo, hi, w in stream:
-            edge_u.append(lo)
-            edge_v.append(hi)
-            edge_w.append(w)
-        self.edge_u = edge_u
-        self.edge_v = edge_v
-        self.weights = np.asarray(edge_w, dtype=np.float64)
-        # The deterministic Kruskal order, computed once.  Filtering a
-        # stably sorted sequence equals sorting the filtered sequence,
-        # so a bound never needs a re-sort — only the mask.
-        self.sorted_order = sorted(
-            range(len(edge_w)),
-            key=lambda k: (edge_w[k], reprs[edge_u[k]], reprs[edge_v[k]]),
+        n = len(coherence.candidates)
+        self.cands = coherence.candidates
+        self.owners = [coherence.mentions[i] for i in coherence.owner.tolist()]
+        low = np.minimum(coherence.u, coherence.v)
+        high = np.maximum(coherence.u, coherence.v)
+        by_low = np.argsort(low, kind="stable")
+        self.edge_u = np.concatenate((np.zeros(n, dtype=np.int64), low[by_low] + 1))
+        self.edge_v = np.concatenate((np.arange(1, n + 1), high[by_low] + 1))
+        self.weights = np.concatenate((coherence.local, coherence.w[by_low]))
+        # Filtering a stably sorted sequence equals sorting the filtered
+        # sequence, so a bound never needs a re-sort, only the mask.
+        rank = np.concatenate((coherence.rank[-1:], coherence.rank[:n]))
+        self.rank = rank.tolist()
+        self.sorted_order = np.lexsort(
+            (rank[self.edge_v], rank[self.edge_u], self.weights)
         )
 
     @property
@@ -251,9 +210,10 @@ class _CoverScaffold:
         parent = list(range(n))
         components = n
         in_bound = self.weights <= bound
-        for k in np.nonzero(in_bound)[0]:
-            ru = _find(parent, self.edge_u[k])
-            rv = _find(parent, self.edge_v[k])
+        edges = zip(self.edge_u[in_bound].tolist(), self.edge_v[in_bound].tolist())
+        for u, v in edges:
+            ru = _find(parent, u)
+            rv = _find(parent, v)
             if ru != rv:
                 parent[ru] = rv
                 components -= 1
@@ -278,30 +238,36 @@ def _derive_with_scaffold(
 ) -> TreeCoverResult:
     check = None if deadline is None else (lambda: deadline.check("tree_cover"))
 
-    # Step (a): edge pruning, as a mask over the scaffold's weights.
-    in_bound = scaffold.weights <= bound
+    # Step (a): edge pruning, as a mask over the scaffold's Kruskal order.
+    order = scaffold.sorted_order
+    order = order[scaffold.weights[order] <= bound]
 
     # Steps (b)+(c): Kruskal over the (implicitly) contracted graph.
     # The contracted graph may legitimately be missing candidate nodes
     # whose every edge was pruned — that is a failure (the node could
     # never be covered within B), matching the paper's "B is too small"
-    # warning for disconnected graphs.
-    edge_u, edge_v, weights = scaffold.edge_u, scaffold.edge_v, scaffold.weights
+    # warning for disconnected graphs.  A spanning tree is complete at
+    # |V| - 1 edges; no later edge could join two components.
+    spanning = scaffold.node_count - 1
     parent = list(range(scaffold.node_count))
     accepted: List[int] = []
     processed = 0
-    for k in scaffold.sorted_order:
-        if not in_bound[k]:
-            continue
+    for k, u, v in zip(
+        order.tolist(),
+        scaffold.edge_u[order].tolist(),
+        scaffold.edge_v[order].tolist(),
+    ):
+        if len(accepted) == spanning:
+            break
         if check is not None and processed % MST_CHECK_EVERY == 0:
             check()
         processed += 1
-        ru = _find(parent, edge_u[k])
-        rv = _find(parent, edge_v[k])
+        ru = _find(parent, u)
+        rv = _find(parent, v)
         if ru != rv:
             parent[ru] = rv
             accepted.append(k)
-    if len(accepted) != scaffold.node_count - 1:
+    if len(accepted) != spanning:
         raise BoundTooSmallError(
             f"contracted coherence graph is disconnected at B={bound}"
         )
@@ -309,31 +275,34 @@ def _derive_with_scaffold(
     # Step (d): decompose the major root back into mentions.  Root edges
     # graft in Kruskal acceptance order; the forest adjacency replays
     # the edge emission of the MST copy so the repr-sorted DFS of the
-    # reference implementation is reproduced tie-for-tie.
+    # object form is reproduced tie-for-tie.
     trees: Dict[Span, RootedTree] = {
         mention: RootedTree(mention) for mention in coherence.mentions
     }
-    root_accepted = [k for k in accepted if edge_u[k] == 0]
-    cc_accepted = [k for k in accepted if edge_u[k] != 0]
-    cc_accepted.sort(key=lambda k: edge_u[k])
+    edge_u = scaffold.edge_u[accepted].tolist()
+    edge_v = scaffold.edge_v[accepted].tolist()
+    weights = scaffold.weights[accepted].tolist()
+    root_accepted = [i for i, u in enumerate(edge_u) if u == 0]
+    cc_accepted = [i for i, u in enumerate(edge_u) if u != 0]
+    cc_accepted.sort(key=lambda i: edge_u[i])
     adjacency: Dict[int, List[Tuple[int, float]]] = {}
-    for k in cc_accepted:
-        u, v, w = edge_u[k], edge_v[k], float(weights[k])
+    for i in cc_accepted:
+        u, v, w = edge_u[i], edge_v[i], weights[i]
         adjacency.setdefault(u, []).append((v, w))
         adjacency.setdefault(v, []).append((u, w))
-    cands, reprs = scaffold.cands, scaffold.reprs
-    for k in root_accepted:
-        anchor_id = edge_v[k]
+    cands, rank = scaffold.cands, scaffold.rank
+    for i in root_accepted:
+        anchor_id = edge_v[i]
         mention = scaffold.owners[anchor_id - 1]
         tree = trees[mention]
-        tree.add_edge(mention, cands[anchor_id - 1], float(weights[k]))
+        tree.add_edge(mention, cands[anchor_id - 1], weights[i])
         stack = [anchor_id]
         visited = {anchor_id}
         while stack:
             node_id = stack.pop()
             node = cands[node_id - 1]
             for nbr_id, w in sorted(
-                adjacency.get(node_id, ()), key=lambda p: reprs[p[0]]
+                adjacency.get(node_id, ()), key=lambda p: rank[p[0]]
             ):
                 if nbr_id in visited or cands[nbr_id - 1] in tree:
                     continue
@@ -353,11 +322,42 @@ def _derive_with_scaffold(
         return TreeCoverResult(split, bound, 0)
 
     # Step (f): maximum matching of subtrees to mentions.  Only now is
-    # the real pruned graph needed (for shortest paths), so it is built
-    # lazily here instead of eagerly for every derivation.
-    pruned = coherence.graph.pruned(bound)
+    # an object graph needed (for shortest paths), so the pruned graph
+    # is built here, in the rare case a split left subtrees.
+    pruned = _pruned_graph(coherence, bound)
     _attach_subtrees(coherence, pruned, split, leftover_subtrees, bound, check)
     return TreeCoverResult(split, bound, len(leftover_subtrees))
+
+
+def _pruned_graph(coherence: CoherenceGraph, bound: float) -> WeightedGraph:
+    """The coherence graph without its edges heavier than *bound*.
+
+    Nodes and edges are added in the order the object form of the
+    coherence graph holds them (each mention, then its candidates; each
+    mention's own edges, then each of its candidates' concept edges to
+    higher ids, in emission order), because Dijkstra's tie-breaks follow
+    adjacency order.
+    """
+    graph = WeightedGraph()
+    for mention, nodes in coherence.candidates_by_mention.items():
+        graph.add_node(mention)
+        for node in nodes:
+            graph.add_node(node)
+    n = len(coherence.candidates)
+    owner = coherence.owner
+    low = np.minimum(coherence.u, coherence.v)
+    high = np.maximum(coherence.u, coherence.v)
+    # A mention's edges sort just before those of its first candidate.
+    slot = np.concatenate((2 * np.searchsorted(owner, owner), 2 * low + 1))
+    u = np.concatenate((n + owner, low))
+    v = np.concatenate((np.arange(n), high))
+    w = np.concatenate((coherence.local, coherence.w))
+    kept = np.nonzero(w <= bound)[0]
+    kept = kept[np.argsort(slot[kept], kind="stable")]
+    nodes = coherence.nodes
+    for a, b, weight in zip(u[kept].tolist(), v[kept].tolist(), w[kept].tolist()):
+        graph.add_edge(nodes[a], nodes[b], weight)
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -454,21 +454,30 @@ def minimal_feasible_bound(
     The approximation guarantee then gives a cover of cost at most 4B*
     with B* <= the optimum cover cost.  Used by the ablation benchmarks;
     the production linker keeps the paper's B = |M| (doubled on failure).
+    Without *max_bound* the search starts from that same bound, doubled
+    until feasible; an explicit *max_bound* raises
+    :class:`BoundTooSmallError` when it is infeasible.
 
-    One :class:`_CoverScaffold` — the sorted edge array, cached reprs
+    One :class:`_CoverScaffold` — the sorted edge arrays, repr ranks
     and union-find id space — is shared by every probe: each probe
     first runs a connectivity check over the masked edges (the common
     infeasibility), and only a probe that passes it derives the full
     cover (which can still fail in subtree matching).
     """
-    if max_bound is None:
-        max_bound = max(float(len(coherence.mentions)), 1.0)
     scaffold = _CoverScaffold(coherence)
-    lo, hi = 0.0, max_bound
-    if not _feasible(coherence, scaffold, hi):
-        raise BoundTooSmallError(
-            f"no feasible bound up to max_bound={max_bound}"
-        )
+    if max_bound is None:
+        # The default ceiling is the linker's default bound, doubled
+        # until feasible the way derive_tree_cover doubles it.
+        hi = max(float(len(coherence.mentions)), 1.0)
+        while not _feasible(coherence, scaffold, hi):
+            hi *= 2.0
+    else:
+        hi = max_bound
+        if not _feasible(coherence, scaffold, hi):
+            raise BoundTooSmallError(
+                f"no feasible bound up to max_bound={max_bound}"
+            )
+    lo = 0.0
     while hi - lo > tolerance:
         mid = (lo + hi) / 2.0
         if mid <= 0.0:

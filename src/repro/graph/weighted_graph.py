@@ -1,10 +1,13 @@
 """A weighted undirected graph container.
 
-The knowledge coherence graph (Sec. 3 of the paper) and the contracted
-graph used by Algorithm 1 are both instances of this structure.  Edges are
-stored once per unordered pair; adjacency is kept as nested dictionaries so
-edge lookup is O(1), matching the paper's observation that retrieving one
-edge weight costs O(1) during tree-cover construction.
+The knowledge coherence graph (Sec. 3 of the paper) is held as integer
+edge arrays (:class:`repro.core.coherence.CoherenceGraph`), not as this
+structure.  On the link path a :class:`WeightedGraph` is built only for
+step (f) of Algorithm 1: the pruned graph that Dijkstra searches, built
+when a split leaves subtrees to match, and the small union graphs that
+graft a matched subtree onto its tree.  Edges are stored once per
+unordered pair; adjacency is kept as nested dictionaries so edge lookup
+is O(1).
 """
 
 from __future__ import annotations

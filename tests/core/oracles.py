@@ -1,11 +1,25 @@
 """Reference implementations the hot paths are pinned against.
 
+* :func:`materialise` — the coherence graph as the
+  :class:`WeightedGraph` it used to be built as: one ``add_edge`` per
+  mention edge and per concept edge, in emission order.  The object
+  paths below read it.
+* :func:`object_scaffold`, :func:`shared_edges_reference` and
+  :func:`sorted_cover_edges_reference` — the contracted edge stream and
+  Kruskal order read back out of ``graph.edges()``, the shared pool
+  walked off the dict adjacency, and the scan pool deduped on ``repr``
+  strings.  :class:`repro.core.tree_cover._CoverScaffold`,
+  :meth:`repro.core.coherence.CoherenceGraph.shared_edges` and
+  :func:`repro.core.disambiguation._scan_edges` must reproduce them
+  edge for edge.
 * :func:`derive_tree_cover_reference` — Algorithm 1 over object graphs:
   an eager pruned copy, an explicit contracted :class:`WeightedGraph`
   (:func:`_contract`), object-keyed Kruskal, and the decomposition of
   the major root back into mentions (:func:`_decompose`).  The
   scaffolded :func:`repro.core.tree_cover.derive_tree_cover` must
   reproduce it edge for edge.
+* :func:`optimal_cover_cost` — the minimum M-rooted tree cover cost of
+  a tiny graph by exhaustive search, for Lemma 4.2.
 * :func:`scalar_similarity_matrix` — the per-pair form of
   :meth:`repro.embeddings.similarity.SimilarityIndex.batch_similarity`.
 * :func:`object_mask_similarity` and :func:`dense_concept_edges` — the
@@ -25,7 +39,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import itertools
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -36,17 +51,16 @@ from repro.core.canopies import (
     MentionGroup,
     _chain_short_mentions,
 )
-from repro.core.coherence import CandidateNode, CoherenceGraph
+from repro.core.coherence import MAJOR_ROOT, CandidateNode, CoherenceGraph
 from repro.core.deadline import Deadline
 from repro.core.splitting import split_tree
 from repro.core.tree_cover import (
-    MAJOR_ROOT,
     BoundTooSmallError,
     TreeCoverResult,
     _attach_subtrees,
 )
 from repro.embeddings.similarity import SimilarityIndex
-from repro.graph.mst import minimum_spanning_forest
+from repro.graph.mst import kruskal_mst, minimum_spanning_forest
 from repro.graph.tree import RootedTree
 from repro.graph.weighted_graph import WeightedGraph
 from repro.nlp import pos
@@ -55,6 +69,193 @@ from repro.nlp.features import contains_feature
 from repro.nlp.openie import ExtractedRelation, RelationExtractor
 from repro.nlp.spans import Sentence, Span, Token, spans_overlap
 
+
+_Node = Union[Span, CandidateNode]
+
+
+# ---------------------------------------------------------------------------
+# the coherence graph as objects
+# ---------------------------------------------------------------------------
+
+def materialise(coherence: CoherenceGraph) -> WeightedGraph:
+    """The coherence graph as a :class:`WeightedGraph`.
+
+    Each mention, then an ``add_edge`` to each of its candidates with
+    the candidate's local weight; then one ``add_edge`` per concept
+    edge, in emission order and orientation.  Node insertion order and
+    every adjacency order follow from that sequence.
+    """
+    graph = WeightedGraph()
+    local = iter(coherence.local.tolist())
+    for mention, nodes in coherence.candidates_by_mention.items():
+        graph.add_node(mention)
+        for node in nodes:
+            graph.add_edge(mention, node, next(local))
+    cands = coherence.candidates
+    for i, j, w in zip(
+        coherence.u.tolist(), coherence.v.tolist(), coherence.w.tolist()
+    ):
+        graph.add_edge(cands[i], cands[j], w)
+    return graph
+
+
+def concept_edge_triples(
+    coherence: CoherenceGraph,
+) -> List[Tuple[CandidateNode, CandidateNode, float]]:
+    """The concept edge arrays as ``(node, node, weight)`` triples."""
+    cands = coherence.candidates
+    return [
+        (cands[i], cands[j], w)
+        for i, j, w in zip(
+            coherence.u.tolist(), coherence.v.tolist(), coherence.w.tolist()
+        )
+    ]
+
+
+def edge_triples(edges) -> List[Tuple[_Node, _Node, float]]:
+    """:class:`repro.core.coherence.EdgeArrays` as object triples."""
+    nodes = edges.graph.nodes
+    return [
+        (nodes[i], nodes[j], w)
+        for i, j, w in zip(edges.u.tolist(), edges.v.tolist(), edges.w.tolist())
+    ]
+
+
+def object_scaffold(coherence: CoherenceGraph):
+    """The contracted edge stream and Kruskal order, read off objects.
+
+    Returns ``(edge_u, edge_v, weights, sorted_order)``: node ids 0 for
+    the major root and 1..n for the candidates, root edges in id order,
+    then the candidate-candidate edges of ``graph.edges()`` grouped by
+    their lower id, and the order sorted on (weight, repr, repr).
+    """
+    graph = materialise(coherence)
+    cand_ids: Dict[CandidateNode, int] = {}
+    cands: List[CandidateNode] = []
+    owners: List[Span] = []
+    for mention, nodes in coherence.candidates_by_mention.items():
+        for node in nodes:
+            cand_ids[node] = len(cands) + 1
+            cands.append(node)
+            owners.append(mention)
+    reprs = [repr(MAJOR_ROOT)]
+    reprs.extend(repr(node) for node in cands)
+    edge_u: List[int] = []
+    edge_v: List[int] = []
+    edge_w: List[float] = []
+    for node, mention in zip(cands, owners):
+        weight = graph.get_weight(mention, node)
+        if weight is not None:
+            edge_u.append(0)
+            edge_v.append(cand_ids[node])
+            edge_w.append(weight)
+    stream: List[Tuple[int, int, float]] = []
+    for u, v, w in graph.edges():
+        iu = cand_ids.get(u)
+        if iu is None:
+            continue
+        iv = cand_ids.get(v)
+        if iv is None:
+            continue
+        stream.append((iu, iv, w) if iu < iv else (iv, iu, w))
+    stream.sort(key=lambda e: e[0])
+    for lo, hi, w in stream:
+        edge_u.append(lo)
+        edge_v.append(hi)
+        edge_w.append(w)
+    sorted_order = sorted(
+        range(len(edge_w)),
+        key=lambda k: (edge_w[k], reprs[edge_u[k]], reprs[edge_v[k]]),
+    )
+    return edge_u, edge_v, edge_w, sorted_order
+
+
+def shared_edges_reference(
+    coherence: CoherenceGraph, bound: float
+) -> List[Tuple[_Node, _Node, float]]:
+    """The shared pool, walked off the dict adjacency of the graph.
+
+    For each mention and each of its candidates: the candidate's own
+    mention edge, then for each other mention its first edge of least
+    weight into that mention's candidates; edges heavier than *bound*
+    are dropped.
+    """
+    edges = []
+    graph = materialise(coherence)
+    for mention, nodes in coherence.candidates_by_mention.items():
+        for node in nodes:
+            weight = graph.get_weight(mention, node)
+            if weight is not None and weight <= bound:
+                edges.append((mention, node, weight))
+            best: dict = {}
+            for neighbour, w in graph.neighbours(node).items():
+                if not isinstance(neighbour, CandidateNode):
+                    continue
+                key = neighbour.mention
+                current = best.get(key)
+                if current is None or w < current[1]:
+                    best[key] = (neighbour, w)
+            for neighbour, w in best.values():
+                if w <= bound:
+                    edges.append((node, neighbour, w))
+    return edges
+
+
+def _mention_length(edge: Tuple[_Node, _Node, float]) -> int:
+    u, v, _ = edge
+    if isinstance(u, Span) and isinstance(v, CandidateNode):
+        return -u.length
+    if isinstance(v, Span) and isinstance(u, CandidateNode):
+        return -v.length
+    return 0
+
+
+def sorted_cover_edges_reference(
+    cover: TreeCoverResult,
+    extra_edges: List[Tuple[_Node, _Node, float]],
+) -> List[Tuple[_Node, _Node, float]]:
+    """The scan's edge pool, deduped on the ``repr`` of the endpoints.
+
+    A key keeps its first push's list position and the first push of
+    least weight; the pool sorts on (weight, mention length, repr,
+    repr), stable over list position.
+    """
+    reprs: Dict[_Node, str] = {}
+
+    def repr_of(node: _Node) -> str:
+        cached = reprs.get(node)
+        if cached is None:
+            cached = reprs[node] = repr(node)
+        return cached
+
+    index: Dict[Tuple[str, str], int] = {}
+    edges: List[Tuple[_Node, _Node, float]] = []
+
+    def push(u: _Node, v: _Node, weight: float) -> None:
+        ru, rv = repr_of(u), repr_of(v)
+        key = (ru, rv) if ru <= rv else (rv, ru)
+        at = index.get(key)
+        if at is None:
+            index[key] = len(edges)
+            edges.append((u, v, weight))
+        elif weight < edges[at][2]:
+            edges[at] = (u, v, weight)
+
+    for tree in cover.trees.values():
+        for edge in tree.edges():
+            push(edge.parent, edge.child, edge.weight)
+    for u, v, weight in extra_edges:
+        push(u, v, weight)
+
+    edges.sort(
+        key=lambda e: (e[2], _mention_length(e), repr_of(e[0]), repr_of(e[1]))
+    )
+    return edges
+
+
+# ---------------------------------------------------------------------------
+# Algorithm 1 over object graphs
+# ---------------------------------------------------------------------------
 
 def _contract(
     coherence: CoherenceGraph, pruned: WeightedGraph, bound: float
@@ -156,7 +357,7 @@ def _derive_reference(
 ) -> TreeCoverResult:
     check = None if deadline is None else (lambda: deadline.check("tree_cover"))
 
-    pruned = coherence.graph.pruned(bound)
+    pruned = materialise(coherence).pruned(bound)
     contracted, owner = _contract(coherence, pruned, bound)
     mst = minimum_spanning_forest(contracted, check=check)
     if contracted.node_count > 0 and mst.edge_count != contracted.node_count - 1:
@@ -176,6 +377,48 @@ def _derive_reference(
         return TreeCoverResult(trees, bound, 0)
     _attach_subtrees(coherence, pruned, trees, leftover_subtrees, bound, check)
     return TreeCoverResult(trees, bound, len(leftover_subtrees))
+
+
+def optimal_cover_cost(coherence: CoherenceGraph) -> float:
+    """The minimum M-rooted tree cover cost, by exhaustive search.
+
+    For tiny graphs (a few mentions, up to ~7 candidates).  Every
+    candidate is assigned to one mention's tree; a mention's tree is the
+    lightest tree over the mention, its assigned candidates and any
+    further candidates (the MST of each such node set, over the
+    mention's own edges and the concept edges).  The cost is the
+    heaviest tree, minimised over assignments.  Trees that pass through
+    another mention are not considered, so this can only over-estimate
+    the optimum: a bound at this value is still at least OPT.
+    """
+    graph = materialise(coherence)
+    cands = coherence.candidates
+    n = len(cands)
+    full = (1 << n) - 1
+    lightest_over = []
+    for mention in coherence.mentions:
+        # weight[S]: the MST weight over the mention plus candidate set S.
+        weight = [float("inf")] * (full + 1)
+        for members in range(full + 1):
+            nodes = [mention] + [cands[k] for k in range(n) if members >> k & 1]
+            sub = graph.subgraph(nodes)
+            if sub.is_connected():
+                weight[members] = kruskal_mst(sub).total_weight()
+        # best[S]: the lightest tree containing at least S.
+        best = list(weight)
+        for members in range(full, -1, -1):
+            for k in range(n):
+                if not members >> k & 1:
+                    best[members] = min(best[members], best[members | 1 << k])
+        lightest_over.append(best)
+    optimum = float("inf")
+    for owners in itertools.product(range(len(coherence.mentions)), repeat=n):
+        masks = [0] * len(coherence.mentions)
+        for k, owner in enumerate(owners):
+            masks[owner] |= 1 << k
+        cost = max(best[mask] for best, mask in zip(lightest_over, masks))
+        optimum = min(optimum, cost)
+    return optimum
 
 
 def scalar_similarity_matrix(

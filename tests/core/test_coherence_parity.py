@@ -4,9 +4,10 @@ Pins the acceptance criterion of the vectorised hot path: building the
 coherence graph from one ``E @ E.T`` block instead of per-pair cosine
 calls (the :class:`tests.core.oracles.ScalarSimilarityIndex` oracle)
 must not change the graph, and end-to-end linking output must be
-byte-identical.  The row-blocked concept edges must be the edges the
-whole-matrix construction (:func:`tests.core.oracles.dense_concept_edges`)
-adds, in the same order, orientation and weight.
+byte-identical.  The row-blocked concept edge arrays must hold the
+edges the whole-matrix construction
+(:func:`tests.core.oracles.dense_concept_edges`) adds, in the same
+order, orientation and weight.
 """
 
 import json
@@ -14,12 +15,16 @@ import json
 import pytest
 
 from repro.core import coherence as coherence_module
-from repro.core.coherence import CandidateNode, build_coherence_graph
+from repro.core.coherence import build_coherence_graph
 from repro.core.linker import LinkingContext, TenetLinker
 from repro.datasets.benchmarks import build_benchmark_suite
 from repro.datasets.generator import DocumentGenerator, DocumentSpec
-from repro.graph.weighted_graph import WeightedGraph
-from tests.core.oracles import ScalarSimilarityIndex, dense_concept_edges
+from tests.core.oracles import (
+    ScalarSimilarityIndex,
+    concept_edge_triples,
+    dense_concept_edges,
+    materialise,
+)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +63,8 @@ class TestGraphParity:
             by_mention = linker.generator.generate(extraction).by_mention
             batch = build_coherence_graph(by_mention, linker.similarity)
             scalar = build_coherence_graph(by_mention, scalar_index)
-            left, right = edge_map(batch.graph), edge_map(scalar.graph)
+            left = edge_map(materialise(batch))
+            right = edge_map(materialise(scalar))
             assert left.keys() == right.keys()
             for key in left:
                 assert left[key] == pytest.approx(right[key], abs=1e-9)
@@ -77,18 +83,6 @@ class TestEndToEndParity:
             )
 
 
-class _RecordingGraph(WeightedGraph):
-    """A graph that remembers every ``add_edge`` call, in order."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.calls = []
-
-    def add_edge(self, u, v, weight):
-        self.calls.append((u, v, weight))
-        super().add_edge(u, v, weight)
-
-
 def _fig7_document(world, facts):
     """A Fig. 7 runtime-vs-length document (the efficiency study's spec)."""
     spec = DocumentSpec(
@@ -105,11 +99,10 @@ def _fig7_document(world, facts):
 
 
 class TestConceptEdgeSequence:
-    def _assert_same_sequence(self, linker, text, max_neighbours, monkeypatch):
+    def _assert_same_sequence(self, linker, text, max_neighbours):
         extraction = linker.pipeline.extract(text)
         by_mention = linker.generator.generate(extraction).by_mention
         config = linker.config
-        monkeypatch.setattr(coherence_module, "WeightedGraph", _RecordingGraph)
         built = build_coherence_graph(
             by_mention,
             linker.similarity,
@@ -119,13 +112,8 @@ class TestConceptEdgeSequence:
             prior_distance_curve=config.prior_distance_curve,
             max_neighbours=max_neighbours,
         )
-        monkeypatch.undo()
         nodes = built.candidate_nodes()
-        actual = [
-            call
-            for call in built.graph.calls
-            if isinstance(call[0], CandidateNode) and isinstance(call[1], CandidateNode)
-        ]
+        actual = concept_edge_triples(built)
         expected = dense_concept_edges(
             nodes,
             built.priors,
@@ -142,15 +130,15 @@ class TestConceptEdgeSequence:
 
     @pytest.mark.parametrize("max_neighbours", [None, 12])
     def test_long_document_spanning_several_row_blocks(
-        self, context, suite, max_neighbours, monkeypatch
+        self, context, suite, max_neighbours
     ):
         linker = TenetLinker(context)
         text = _fig7_document(suite.world, 256)
-        nodes = self._assert_same_sequence(linker, text, max_neighbours, monkeypatch)
+        nodes = self._assert_same_sequence(linker, text, max_neighbours)
         assert nodes > 3 * coherence_module._ROW_BLOCK
 
     @pytest.mark.parametrize("max_neighbours", [None, 12])
-    def test_suite_documents(self, context, documents, max_neighbours, monkeypatch):
+    def test_suite_documents(self, context, documents, max_neighbours):
         linker = TenetLinker(context)
         for text in documents:
-            self._assert_same_sequence(linker, text, max_neighbours, monkeypatch)
+            self._assert_same_sequence(linker, text, max_neighbours)

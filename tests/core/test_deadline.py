@@ -1,9 +1,12 @@
 """Deadline semantics and the pipeline's cooperative checkpoints."""
 
+import time
+
 import pytest
 
 from repro.core.deadline import Deadline, DeadlineExceeded
 from repro.core.tree_cover import derive_tree_cover
+from repro.embeddings.similarity import SimilarityIndex
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +131,35 @@ class TestLinkerCheckpoints:
         )
 
 
+class _OutlastingSimilarity(SimilarityIndex):
+    """A similarity index whose block outlasts the request's deadline."""
+
+    def __init__(self, store, deadline):
+        super().__init__(store)
+        self.deadline = deadline
+
+    def batch_similarity(self, concept_ids):
+        while not self.deadline.expired:
+            time.sleep(0.005)
+        return super().batch_similarity(concept_ids)
+
+
 class TestStageLoopCheckpoints:
+    def test_coherence_checks_deadline_after_similarity_block(
+        self, suite_context, document
+    ):
+        from repro.core.linker import TenetLinker
+
+        linker = TenetLinker(suite_context)
+        deadline = Deadline.after(0.5)
+        linker.similarity = _OutlastingSimilarity(
+            suite_context.embeddings, deadline
+        )
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            linker.link_detailed(document, deadline=deadline)
+        assert excinfo.value.stage == "coherence"
+        assert excinfo.value.partial.candidates is not None
+
     def test_tree_cover_honours_cancelled_deadline(
         self, suite_context, document
     ):

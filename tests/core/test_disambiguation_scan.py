@@ -17,8 +17,8 @@ import random
 from repro.core.canopies import Canopy, MentionGroup
 from repro.core.coherence import CandidateNode
 from repro.core.disambiguation import (
+    _scan_edges,
     _ScanState,
-    _sorted_cover_edges,
     disambiguate,
 )
 from repro.core.tree_cover import TreeCoverResult
@@ -51,7 +51,7 @@ class TestDuplicateEdgeDedup:
         tree = RootedTree(a)
         tree.add_edge(a, ca, 0.45)
         tree.add_edge(ca, cb, 0.5)
-        edges = _sorted_cover_edges(
+        edges = _scan_edges(
             cover_for((a, tree), (b, RootedTree(b))), [(ca, cb, 0.1)]
         )
         dup = [e for e in edges if {e[0], e[1]} == {ca, cb}]
@@ -65,7 +65,7 @@ class TestDuplicateEdgeDedup:
         tree = RootedTree(a)
         tree.add_edge(a, ca, 0.45)
         tree.add_edge(ca, cb, 0.1)
-        edges = _sorted_cover_edges(
+        edges = _scan_edges(
             cover_for((a, tree), (b, RootedTree(b))), [(ca, cb, 0.5)]
         )
         dup = [e for e in edges if {e[0], e[1]} == {ca, cb}]

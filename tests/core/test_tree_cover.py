@@ -14,6 +14,7 @@ from repro.embeddings.similarity import SimilarityIndex
 from repro.embeddings.store import EmbeddingStore
 from repro.kb.alias_index import CandidateHit
 from repro.nlp.spans import Span, SpanKind
+from tests.core.oracles import optimal_cover_cost
 
 
 def _world_similarity(seed, n_concepts=12, dim=16):
@@ -123,6 +124,23 @@ class TestDefaultBoundDoubling:
         with pytest.raises(BoundTooSmallError):
             derive_tree_cover(coherence, bound=1.0)
 
+    def test_bound_search_default_ceiling_doubles(self):
+        # derive_tree_cover succeeds at B = 2 here, so the search's
+        # default ceiling must reach it too.
+        coherence = _one_mention_weak_candidates()
+        b_star = minimal_feasible_bound(coherence, tolerance=0.01)
+        assert b_star <= 2.0
+        assert b_star == pytest.approx(
+            minimal_feasible_bound(coherence, tolerance=0.01, max_bound=4.0),
+            abs=0.01,
+        )
+        derive_tree_cover(coherence, bound=b_star)
+
+    def test_bound_search_explicit_ceiling_still_raises(self):
+        coherence = _one_mention_weak_candidates()
+        with pytest.raises(BoundTooSmallError):
+            minimal_feasible_bound(coherence, max_bound=1.0)
+
     def test_one_mention_document_links(self, tenet):
         # Seed-7 world: "Kumar." has one mention whose candidates cannot
         # be covered within B = |M| = 1.
@@ -165,6 +183,50 @@ class TestApproximationBound:
             # the binary search may stop within tolerance, so allow both,
             # but b_star itself must always succeed (asserted above).
             assert smaller_ok in (True, False)
+
+
+def _tiny(n_mentions, sizes, seed):
+    """A graph of at most 3 mentions and 7 candidates."""
+    rng = np.random.default_rng(seed + 1)
+    mention_candidates = {}
+    cid = 0
+    for i, k in enumerate(sizes[:n_mentions]):
+        span = Span(f"m{i}", i * 3, i * 3 + 1, 0, SpanKind.NOUN)
+        priors = rng.dirichlet(np.ones(k))
+        mention_candidates[span] = [
+            CandidateHit(f"Q{(cid + j) % 12}", float(priors[j]), "entity")
+            for j in range(k)
+        ]
+        cid += k
+    return build_coherence_graph(mention_candidates, _world_similarity(seed))
+
+
+_TINY = dict(
+    n_mentions=st.integers(1, 3),
+    sizes=st.lists(st.integers(1, 3), min_size=3, max_size=3).filter(
+        lambda sizes: sum(sizes) <= 7
+    ),
+    seed=st.integers(0, 1000),
+)
+
+
+class TestAgainstOptimum:
+    """Lemma 4.2 against the exhaustive optimum of tiny graphs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_TINY)
+    def test_cover_at_optimum_costs_at_most_4_opt(self, n_mentions, sizes, seed):
+        coherence = _tiny(n_mentions, sizes, seed)
+        optimum = optimal_cover_cost(coherence)
+        cover = derive_tree_cover(coherence, bound=optimum)
+        assert cover.cost() <= 4 * optimum + 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(**_TINY)
+    def test_bound_search_finds_at_most_the_optimum(self, n_mentions, sizes, seed):
+        coherence = _tiny(n_mentions, sizes, seed)
+        optimum = optimal_cover_cost(coherence)
+        assert minimal_feasible_bound(coherence, tolerance=0.01) <= optimum + 0.01
 
 
 class TestDeterminism:

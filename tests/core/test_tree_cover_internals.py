@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.coherence import CandidateNode, build_coherence_graph
-from repro.core.tree_cover import MAJOR_ROOT, derive_tree_cover
+from repro.core.coherence import MAJOR_ROOT, CandidateNode, build_coherence_graph
+from repro.core.tree_cover import derive_tree_cover
 from repro.embeddings.similarity import SimilarityIndex
 from repro.embeddings.store import EmbeddingStore
 from repro.graph.mst import minimum_spanning_forest
 from repro.kb.alias_index import CandidateHit
 from repro.nlp.spans import Span, SpanKind
-from tests.core.oracles import _contract, _decompose
+from tests.core.oracles import _contract, _decompose, materialise
 
 
 @pytest.fixture
@@ -36,7 +36,7 @@ def coherence():
 class TestContract:
     def test_root_connects_to_every_candidate(self, coherence):
         graph, _ = coherence
-        pruned = graph.graph.pruned(10.0)
+        pruned = materialise(graph).pruned(10.0)
         contracted, owner = _contract(graph, pruned, 10.0)
         assert MAJOR_ROOT in contracted
         for node in graph.candidate_nodes():
@@ -45,7 +45,7 @@ class TestContract:
 
     def test_root_edge_takes_mention_edge_weight(self, coherence):
         graph, (m1, _, _) = coherence
-        pruned = graph.graph.pruned(10.0)
+        pruned = materialise(graph).pruned(10.0)
         contracted, _ = _contract(graph, pruned, 10.0)
         node = graph.candidates_by_mention[m1][0]
         assert contracted.weight(MAJOR_ROOT, node) == pytest.approx(
@@ -54,7 +54,7 @@ class TestContract:
 
     def test_concept_edges_carried_over(self, coherence):
         graph, _ = coherence
-        pruned = graph.graph.pruned(10.0)
+        pruned = materialise(graph).pruned(10.0)
         contracted, _ = _contract(graph, pruned, 10.0)
         concept_edges = [
             (u, v)
@@ -66,7 +66,7 @@ class TestContract:
     def test_pruning_removes_root_edges(self, coherence):
         graph, _ = coherence
         # a bound below the local-distance floor removes all prior edges
-        pruned = graph.graph.pruned(0.1)
+        pruned = materialise(graph).pruned(0.1)
         contracted, owner = _contract(graph, pruned, 0.1)
         assert not owner
 
@@ -74,7 +74,7 @@ class TestContract:
 class TestDecompose:
     def test_one_tree_per_mention(self, coherence):
         graph, mentions = coherence
-        pruned = graph.graph.pruned(10.0)
+        pruned = materialise(graph).pruned(10.0)
         contracted, owner = _contract(graph, pruned, 10.0)
         mst = minimum_spanning_forest(contracted)
         trees = _decompose(graph, mst, owner)
@@ -84,7 +84,7 @@ class TestDecompose:
 
     def test_components_fully_distributed(self, coherence):
         graph, _ = coherence
-        pruned = graph.graph.pruned(10.0)
+        pruned = materialise(graph).pruned(10.0)
         contracted, owner = _contract(graph, pruned, 10.0)
         mst = minimum_spanning_forest(contracted)
         trees = _decompose(graph, mst, owner)
