@@ -310,10 +310,17 @@ def build_coherence_graph(
     )
 
 
-#: Rows of the concept-edge weight matrix built at a time.  A block's
-#: temporaries (masks, prior blend, per-row argsort) are this many rows
-#: by n instead of n x n.
+#: Rows of concept edges selected at a time.  A block's temporaries are
+#: this many rows by the distinct concepts, by the rows' own sentences,
+#: and by the few columns each row's bound admits.
 _ROW_BLOCK = 256
+
+#: Concept groups whose leading columns give each row its weight bound.
+_BOUND_GROUPS = 3
+
+#: A document of at most this many candidate pairs is one unit: every
+#: pair is weighed directly, which costs less than grouping it.
+_DIRECT_CELLS = 16384
 
 
 def _concept_edges(
@@ -326,43 +333,97 @@ def _concept_edges(
     max_neighbours: Optional[int],
     deadline: Optional[Deadline],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concept-concept edges ``(u, v, w)``, vectorised over all pairs.
+    """Concept-concept edges ``(u, v, w)``: each candidate's lightest
+    admissible neighbours, found without an n x n array.
 
-    The pairwise weight matrix is one batched similarity block from the
-    embedding store (the paper's pre-computed relatedness index; Sec. 6.2
-    notes that edge retrieval is O(1) because relatedness is
-    pre-computed).  When ``max_neighbours`` is set, each candidate only
-    materialises its that-many lightest admissible edges — a kNN
-    sparsification that keeps the edge count linear in the candidate
-    count without touching the light edges any downstream algorithm would
-    ever pick.
+    **Definition.**  ``S`` is one similarity block over the document's
+    distinct concepts (the paper's pre-computed relatedness, Sec. 6.2),
+    each cell a function of its two embedding rows only
+    (:meth:`SimilarityIndex.batch_similarity`).  The weight of candidates
+    ``i`` and ``j`` is ``clip(1 - s + blend * (l_i + l_j))`` with ``s =
+    S[concept_i, concept_j]``, scaled when a predicate is involved, and
+    ``l = 1 - prior``.  Candidates of overlapping mentions (a mention
+    overlaps itself), of the same concept, and predicate pairs across
+    sentences are not connected.  Row ``i`` visits its first
+    ``max_neighbours`` admissible columns in ``(w, j)`` order (the order
+    of a stable argsort of the dense row): a kNN sparsification that
+    keeps the edge count linear in the candidates and every light edge
+    a downstream algorithm would pick.  With ``max_neighbours`` None
+    or ``>= n`` it visits every admissible column, in ``j`` order.  The
+    visits in row order reduce to edges: each unordered pair keeps its
+    first visit (which fixes its emission position and orientation;
+    downstream tie-breaks depend on both) and the least weight of the
+    directions that visited it.
 
-    The similarity block is the only n x n array: each block of
-    :data:`_ROW_BLOCK` rows is turned into weights in place (every cell
-    is read by its own row's block only), masked, and reduced to its
-    edges before the next block starts.
+    **Selection.**  Sentences whose mentions' token ranges intersect are
+    merged into units (:func:`_units`; in practice a unit is a sentence).
+    A document of at most :data:`_DIRECT_CELLS` candidate pairs is one
+    unit.
+
+    * Pairs inside a unit are weighed directly.  These are the only
+      pairs a predicate candidate joins and the only ones the overlap
+      mask can block.
+    * Pairs across units are admissible exactly when both are entities
+      of different concepts.  They come from the concept groups of
+      :func:`_concept_groups`, along which a row's weight never
+      decreases.
+    * Each row takes an upper bound ``T`` on its ``k``-th lightest
+      weight (:func:`_row_bounds`).  Every group whose head is at most
+      ``T`` gives its prefix of weight ``<= T`` (:func:`_prefixes_within`),
+      and the row keeps the first ``k`` of the union in ``(w, j)``
+      order.  Every column of the true top ``k`` weighs at most ``T``
+      and survives the groups' run cut, so the selection is exact; ``T``
+      only decides how much is enumerated.
+
+    Memory is the ``u x u`` block plus, per block of :data:`_ROW_BLOCK`
+    rows, the rows by the distinct concepts and by their units' sizes;
+    time is O(n u + n k) for documents of bounded sentences.  The
+    deadline is checked after the similarity block and before each row
+    block.
     """
     n = len(all_nodes)
-    if n < 2:
+    keep_all = max_neighbours is None or max_neighbours >= n
+    k = n if keep_all else max_neighbours
+    if n < 2 or k <= 0:
         return _NO_EDGES
-    matrix = similarity.batch_similarity([node.concept_id for node in all_nodes])
-
+    concept_index: Dict[str, int] = {}
+    concept = np.array(
+        [
+            concept_index.setdefault(node.concept_id, len(concept_index))
+            for node in all_nodes
+        ],
+        dtype=np.int64,
+    )
+    sims = similarity.batch_similarity(list(concept_index))
     is_predicate = np.array([node.kind == "predicate" for node in all_nodes])
     local = np.array([1.0 - priors[node] for node in all_nodes])
     starts = np.array([node.mention.token_start for node in all_nodes])
     ends = np.array([node.mention.token_end for node in all_nodes])
     sentences = np.array([node.mention.sentence_index for node in all_nodes])
-    # Identical concepts carry no coherence evidence: cos(c, c) = 1 would
-    # be a degenerate zero-distance shortcut committing both mentions the
-    # moment two phrases merely share a candidate.
-    concept_index: Dict[str, int] = {}
-    concept_of = np.array(
-        [
-            concept_index.setdefault(node.concept_id, len(concept_index))
-            for node in all_nodes
-        ]
-    )
-    keep_all = max_neighbours is None or max_neighbours >= n
+
+    def weigh(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The weights of pairs ``(rows, cols)`` (broadcast), blocked or
+        not."""
+        s = sims[concept[rows], concept[cols]]
+        predicate_pair = is_predicate[rows] | is_predicate[cols]
+        s = np.where(predicate_pair, s * predicate_similarity_scale, s)
+        w = (1.0 - s) + coherence_prior_blend * (local[rows] + local[cols])
+        return np.clip(w, 1e-9, max_concept_distance)
+
+    if n * n <= _DIRECT_CELLS:
+        unit = np.zeros(n, dtype=np.int64)
+    else:
+        unit = _units(sentences, starts, ends)
+    by_unit = np.argsort(unit, kind="stable")
+    unit_size = np.bincount(unit)
+    unit_start = np.cumsum(unit_size) - unit_size
+    widest = np.arange(unit_size.max())
+    groups = None
+    if unit_size.size > 1:
+        # The sign of the blend decides which way a row's weight moves
+        # with a column's prior.
+        key = local if coherence_prior_blend >= 0 else -local
+        groups = _concept_groups(concept, key, is_predicate, unit, k)
 
     row_parts: List[np.ndarray] = []
     col_parts: List[np.ndarray] = []
@@ -370,46 +431,79 @@ def _concept_edges(
     for lo in range(0, n, _ROW_BLOCK):
         if deadline is not None:
             deadline.check("coherence")
-        hi = min(lo + _ROW_BLOCK, n)
-        weights = matrix[lo:hi]
-        predicate_pair = is_predicate[lo:hi, None] | is_predicate[None, :]
-        np.multiply(
-            weights, predicate_similarity_scale, out=weights, where=predicate_pair
-        )
-        np.subtract(1.0, weights, out=weights)
-        weights += coherence_prior_blend * (local[lo:hi, None] + local[None, :])
-        np.clip(weights, 1e-9, max_concept_distance, out=weights)
+        rows = np.arange(lo, min(lo + _ROW_BLOCK, n))
+        row = rows[:, None]
 
-        # Candidates of overlapping mentions (a mention overlaps itself),
-        # of the same concept, and predicate pairs across sentences are
-        # not connected.
-        blocked = (starts[lo:hi, None] < ends[None, :]) & (
-            starts[None, :] < ends[lo:hi, None]
+        # Pairs inside each row's unit, weighed with every mask.
+        # Identical concepts carry no coherence evidence: cos(c, c) = 1
+        # would be a zero-distance shortcut committing both mentions the
+        # moment two phrases merely share a candidate.
+        present = widest < unit_size[unit[row]]
+        direct = by_unit[np.where(present, unit_start[unit[row]] + widest, 0)]
+        direct_weight = weigh(row, direct)
+        blocked = ~present
+        blocked |= (starts[row] < ends[direct]) & (starts[direct] < ends[row])
+        blocked |= concept[row] == concept[direct]
+        blocked |= (is_predicate[row] | is_predicate[direct]) & (
+            sentences[row] != sentences[direct]
         )
-        blocked |= concept_of[lo:hi, None] == concept_of[None, :]
-        blocked |= predicate_pair & (sentences[lo:hi, None] != sentences[None, :])
-        np.putmask(weights, blocked, np.inf)
+        direct_weight[blocked] = np.inf
 
+        head_weight = None
+        if groups is not None:
+            # A group's head bounds the group's weights from below; only
+            # entity rows reach groups, and never their own concept's.
+            head_weight = weigh(row, groups.heads)
+            closed = (concept[row] == groups.concept) | is_predicate[row]
+            head_weight[closed] = np.inf
         if keep_all:
-            rows, cols = np.nonzero(np.isfinite(weights))
+            bound = np.full(rows.size, np.inf)
         else:
-            # np.argsort's tie order picks the neighbours; a partial sort
-            # would pick others among equal weights.
-            order = np.argsort(weights, axis=1)[:, :max_neighbours]
-            rows = np.repeat(np.arange(hi - lo), order.shape[1])
-            cols = order.ravel()
-            finite = np.isfinite(weights[rows, cols])
-            rows, cols = rows[finite], cols[finite]
-        row_parts.append(rows + lo)
-        col_parts.append(cols)
-        weight_parts.append(weights[rows, cols])
+            bound = _row_bounds(
+                rows, direct_weight, head_weight, k, groups, unit, weigh
+            )
 
-    # Reduce the visits to edges.  The visited cells in row-major order
-    # are the original scan sequence; each unordered pair keeps its
-    # *first* visit (which fixes the edge's emission position and
-    # orientation — downstream tie-breaking depends on both) and the
-    # minimum weight over however many directions visited it (which is
-    # the value the scan's "overwrite if smaller" update converged to).
+        cross_rows = cross_cols = np.zeros(0, dtype=np.int64)
+        cross_weights = np.zeros(0)
+        if groups is not None:
+            pair_row, pair_group = np.nonzero(
+                (head_weight <= bound[:, None]) & ~closed
+            )
+            row_of = rows[pair_row]
+            length = _prefixes_within(
+                groups, row_of, pair_group, bound[pair_row], weigh
+            )
+            cross_rows = np.repeat(row_of, length)
+            cross_cols = groups.columns[
+                _ragged(groups.start[pair_group], length)
+            ]
+            other_unit = unit[cross_cols] != unit[cross_rows]
+            cross_rows = cross_rows[other_unit]
+            cross_cols = cross_cols[other_unit]
+            cross_weights = weigh(cross_rows, cross_cols)
+
+        within = ~blocked & (direct_weight <= bound[:, None])
+        cand_rows = np.concatenate(
+            (np.broadcast_to(row, direct.shape)[within], cross_rows)
+        )
+        cand_cols = np.concatenate((direct[within], cross_cols))
+        cand_weights = np.concatenate((direct_weight[within], cross_weights))
+        if keep_all:
+            order = np.lexsort((cand_cols, cand_rows))
+        else:
+            order = np.lexsort((cand_cols, cand_weights, cand_rows))
+            ranked = cand_rows[order]
+            first_of_row = np.searchsorted(ranked, ranked, side="left")
+            order = order[np.arange(order.size) - first_of_row < k]
+        row_parts.append(cand_rows[order])
+        col_parts.append(cand_cols[order])
+        weight_parts.append(cand_weights[order])
+
+    # Reduce the visits to edges.  The visits in row order are the scan
+    # sequence; each unordered pair keeps its *first* visit (which fixes
+    # the edge's emission position and orientation — downstream
+    # tie-breaking depends on both) and the minimum weight over however
+    # many directions visited it.
     rows = np.concatenate(row_parts)
     cols = np.concatenate(col_parts)
     visit_weights = np.concatenate(weight_parts)
@@ -424,6 +518,157 @@ def _concept_edges(
     sequence = np.argsort(first_visit)
     first_visit = first_visit[sequence]
     return rows[first_visit], cols[first_visit], pair_weights[sequence]
+
+
+def _units(
+    sentences: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Each candidate's unit: its sentence, with sentences whose mentions'
+    token ranges intersect merged, so that no two candidates of
+    different units have overlapping mentions."""
+    sentence_ids, sentence_of = np.unique(sentences, return_inverse=True)
+    first_token = np.full(sentence_ids.size, np.iinfo(np.int64).max)
+    last_token = np.full(sentence_ids.size, np.iinfo(np.int64).min)
+    np.minimum.at(first_token, sentence_of, starts)
+    np.maximum.at(last_token, sentence_of, ends)
+    by_start = np.argsort(first_token, kind="stable")
+    reach = np.maximum.accumulate(last_token[by_start])
+    opens = np.ones(by_start.size, dtype=bool)
+    opens[1:] = first_token[by_start[1:]] >= reach[:-1]
+    unit_of_sentence = np.empty(by_start.size, dtype=np.int64)
+    unit_of_sentence[by_start] = np.cumsum(opens) - 1
+    return unit_of_sentence[sentence_of]
+
+
+class _Groups(NamedTuple):
+    """The entity columns, concept group by concept group."""
+
+    columns: np.ndarray  # candidate ids, each group ordered by (key, id)
+    concept: np.ndarray  # each group's concept
+    start: np.ndarray  # each group's first position in ``columns``
+    size: np.ndarray
+
+    @property
+    def heads(self) -> np.ndarray:
+        return self.columns[self.start]
+
+
+def _concept_groups(
+    concept: np.ndarray,
+    key: np.ndarray,
+    is_predicate: np.ndarray,
+    unit: np.ndarray,
+    k: int,
+) -> _Groups:
+    """The entity columns ordered by (concept, *key*, id), one group per
+    concept, each run of equal (concept, key) cut to its first ``k + c``
+    columns.
+
+    *key* is ``l`` (``-l`` for a negative blend), so for a fixed row a
+    column's weight never decreases along its group: every float step of
+    the weight is monotone in ``l``.  A run of equal key shares one
+    weight, in id order.  The columns of the row's own unit are weighed
+    directly instead, and at most ``c`` (the most columns the concept has
+    in one unit) lie there, so the first ``k + c`` columns of a run hold
+    ``k`` the row can use ahead of every column cut.
+    """
+    entity = np.flatnonzero(~is_predicate)
+    columns = entity[np.lexsort((entity, key[entity], concept[entity]))]
+    new_run = np.ones(columns.size, dtype=bool)
+    new_run[1:] = (concept[columns[1:]] != concept[columns[:-1]]) | (
+        key[columns[1:]] != key[columns[:-1]]
+    )
+    run_start = np.flatnonzero(new_run)
+    in_run = np.arange(columns.size) - run_start[np.cumsum(new_run) - 1]
+    units = int(unit.max()) + 1
+    crowded, crowd = np.unique(
+        concept[entity] * units + unit[entity], return_counts=True
+    )
+    most_in_unit = np.zeros(int(concept.max()) + 1, dtype=np.int64)
+    np.maximum.at(most_in_unit, crowded // units, crowd)
+    columns = columns[in_run < k + most_in_unit[concept[columns]]]
+    group_concept, start, size = np.unique(
+        concept[columns], return_index=True, return_counts=True
+    )
+    return _Groups(columns, group_concept, start, size)
+
+
+def _row_bounds(
+    rows: np.ndarray,
+    direct_weight: np.ndarray,
+    head_weight: Optional[np.ndarray],
+    k: int,
+    groups: Optional[_Groups],
+    unit: np.ndarray,
+    weigh,
+) -> np.ndarray:
+    """Per row, the ``k``-th lightest weight of distinct admissible
+    columns (``inf`` when fewer are found): its direct pairs and, when
+    there are concept groups, the first ``k + 2`` columns of its
+    :data:`_BOUND_GROUPS` groups of lightest head and the heads of its
+    other groups, all outside its unit."""
+    pool = [direct_weight]
+    if groups is not None and groups.concept.size:
+        if groups.concept.size > _BOUND_GROUPS:
+            best = np.argpartition(head_weight, _BOUND_GROUPS - 1, axis=1)
+            best = best[:, :_BOUND_GROUPS]
+        else:
+            best = np.broadcast_to(
+                np.arange(groups.concept.size), head_weight.shape
+            )
+        sample = np.arange(k + 2)
+        taken = (sample < groups.size[best][:, :, None]) & np.isfinite(
+            np.take_along_axis(head_weight, best, axis=1)
+        )[:, :, None]
+        taken_cols = groups.columns[
+            np.where(taken, groups.start[best][:, :, None] + sample, 0)
+        ]
+        taken &= unit[taken_cols] != unit[rows][:, None, None]
+        taken_weight = weigh(rows[:, None, None], taken_cols)
+        taken_weight[~taken] = np.inf
+        others = np.where(
+            unit[groups.heads] == unit[rows][:, None], np.inf, head_weight
+        )
+        np.put_along_axis(others, best, np.inf, axis=1)
+        pool += [others, taken_weight.reshape(rows.size, -1)]
+    pool = np.concatenate(pool, axis=1)
+    if pool.shape[1] < k:
+        return np.full(rows.size, np.inf)
+    return np.partition(pool, k - 1, axis=1)[:, k - 1]
+
+
+def _prefixes_within(
+    groups: _Groups,
+    rows: np.ndarray,
+    group: np.ndarray,
+    bound: np.ndarray,
+    weigh,
+) -> np.ndarray:
+    """For each pair ``(rows[e], group[e])``, how many leading columns of
+    the group weigh at most ``bound[e]``: a binary search, since weights
+    never decrease along a group."""
+    first = groups.start[group]
+    high = groups.size[group]
+    low = np.where(bound == np.inf, high, 0)
+    while True:
+        searching = np.flatnonzero(low < high)
+        if not searching.size:
+            return low
+        mid = (low[searching] + high[searching]) // 2
+        fits = (
+            weigh(rows[searching], groups.columns[first[searching] + mid])
+            <= bound[searching]
+        )
+        low[searching[fits]] = mid[fits] + 1
+        high[searching[~fits]] = mid[~fits]
+
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[e] + 0 .. starts[e] + lengths[e] - 1``, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(
+        ends[-1] if ends.size else 0
+    )
 
 
 _NO_EDGES = (

@@ -5,9 +5,10 @@ relatedness between concept pairs is pre-computed/indexed so that
 retrieving one coherence-graph edge costs O(1).  :class:`SimilarityIndex`
 provides exactly that: an unordered-pair dict cache in front of the
 embedding store for scalar lookups (the baselines' access pattern), plus
-:meth:`SimilarityIndex.batch_similarity` — one ``E @ E.T`` block over a
-single gathered row matrix — which is what the coherence-graph
-construction uses instead of O(n^2) per-pair calls.
+:meth:`SimilarityIndex.batch_similarity` — one block over a gathered row
+matrix, each cell a fixed-order reduction of its two rows — which the
+coherence-graph construction calls once per document, over the
+document's distinct concepts.
 """
 
 from __future__ import annotations
@@ -70,20 +71,28 @@ class SimilarityIndex:
         return 1.0 - self.similarity(a, b)
 
     def batch_similarity(self, concept_ids: Sequence[str]) -> np.ndarray:
-        """Clipped cosine matrix over *concept_ids* in one matrix product.
+        """Clipped cosine matrix over *concept_ids*, one cell per pair.
 
         The ``(n, n)`` float64 result matches the scalar
         :meth:`similarity` semantics entry-wise: positions holding the
         *same* id are exactly ``1.0`` (the ``a == b`` shortcut), and any
         pair involving an id the store does not hold is ``0.0`` (a zero
-        vector, where the scalar path would raise).  Rows are gathered
-        with one fancy-index call (:meth:`EmbeddingStore.rows
-        <repro.embeddings.store.EmbeddingStore.rows>`) and multiplied as
-        a single ``E @ E.T`` block, so the cost is one BLAS call instead
-        of ``n^2/2`` Python-level cosine calls.  The unordered-pair
-        cache is deliberately bypassed: filling it pair-by-pair is the
-        O(n^2) Python loop this path exists to avoid.  Every call returns
-        a new array, which the caller owns and may overwrite.
+        vector, where the scalar path would raise).
+
+        Each cell is a pure function of its two embedding rows: the same
+        pair gets the same bits whatever other ids the call holds, in
+        whatever order, under any SIMD level numpy dispatches.  So the
+        cells are reduced by ``np.einsum``'s own sum-of-products loop,
+        which runs over the embedding dimensions in one fixed order per
+        cell.  A BLAS product (``E @ E.T``) blocks its sums by the shape
+        of the whole matrix, so there a pair's last bits would depend on
+        the rest of the document.  Rows are gathered with one
+        fancy-index call (:meth:`EmbeddingStore.rows
+        <repro.embeddings.store.EmbeddingStore.rows>`).  The
+        unordered-pair cache is deliberately bypassed: filling it
+        pair-by-pair is the O(n^2) Python loop this path exists to
+        avoid.  Every call returns a new array, which the caller owns
+        and may overwrite.
         """
         ids = list(concept_ids)
         n = len(ids)
@@ -94,7 +103,7 @@ class SimilarityIndex:
             return np.zeros((0, 0), dtype=np.float64)
         vectors, _ = self._store.rows(ids)
         matrix = vectors.astype(np.float64)
-        sims = matrix @ matrix.T
+        sims = np.einsum("ik,jk->ij", matrix, matrix)
         np.clip(sims, -1.0, 1.0, out=sims)
         # Same-id positions compared as integer codes: an object-dtype
         # comparison of the ids is a Python call per cell.
@@ -112,7 +121,13 @@ class SimilarityIndex:
         return 1.0 - self.batch_similarity(concept_ids)
 
     def batch_stats(self) -> dict:
-        """JSON-compatible counters of the batched matrix path."""
+        """JSON-compatible counters of the batched matrix path.
+
+        ``batch_pairs`` sums ``n (n - 1) / 2`` over the calls, for the
+        ``n`` ids each call was passed.  The coherence graph passes a
+        document's distinct concepts, so it counts distinct-concept
+        pairs, not candidate pairs.
+        """
         with self._stats_lock:
             calls, pairs = self.batch_calls, self.batch_pairs
         return {

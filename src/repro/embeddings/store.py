@@ -111,7 +111,7 @@ class EmbeddingStore:
         """Cosine similarity between two stored concepts, clipped to [-1, 1].
 
         Accumulated in float64 so the scalar value agrees with the
-        batched ``E @ E.T`` matrix of :meth:`SimilarityIndex.batch_similarity
+        batched matrix of :meth:`SimilarityIndex.batch_similarity
         <repro.embeddings.similarity.SimilarityIndex.batch_similarity>` to
         ~1e-15 instead of the ~1e-7 drift of float32 dot products.
         """

@@ -72,9 +72,9 @@ class LinkerCaches:
         )
         if linker is not None:
             payload["alias_fuzzy"] = linker.context.alias_index.fuzzy_cache_stats()
-            # Coherence similarities come from one batched E @ E.T block
-            # per document; its call/pair counters sit next to the cache
-            # stats.
+            # Coherence similarities come from one batched block over
+            # each document's distinct concepts; its call/pair counters
+            # sit next to the cache stats.
             payload["similarity_batch"] = linker.similarity.batch_stats()
         return payload
 

@@ -23,10 +23,11 @@
 * :func:`scalar_similarity_matrix` — the per-pair form of
   :meth:`repro.embeddings.similarity.SimilarityIndex.batch_similarity`.
 * :func:`object_mask_similarity` and :func:`dense_concept_edges` — the
-  batched similarity with its object-dtype same-id mask, and the concept
-  edges built from whole n x n weight, mask, argsort and visit arrays:
-  the form the row-blocked :func:`repro.core.coherence._add_concept_edges`
-  must reproduce edge for edge (order, orientation, weight).
+  batched similarity over every candidate's id with an object-dtype
+  same-id mask, and the concept edges built from whole n x n weight,
+  mask, stable argsort and visit arrays: the definition the grouped
+  selection of :func:`repro.core.coherence._concept_edges` must
+  reproduce edge for edge (order, orientation, weight).
 * :func:`build_mention_groups_reference`, :func:`resolve_pronouns_reference`
   and :func:`extract_relations_reference` — grouping, co-reference and
   Open IE with their all-pairs span scans: every short-text candidate
@@ -458,13 +459,18 @@ class ScalarSimilarityIndex(SimilarityIndex):
 def object_mask_similarity(
     similarity: SimilarityIndex, concept_ids: Sequence[str]
 ) -> np.ndarray:
-    """The batched similarity block with an object-dtype same-id mask."""
+    """The batched similarity block with an object-dtype same-id mask.
+
+    Each cell is the per-pair ``einsum`` reduction of its two rows, so
+    an n x n block over every candidate's id holds, cell for cell, the
+    values of the block over the distinct ids.
+    """
     ids = list(concept_ids)
     if not ids:
         return np.zeros((0, 0), dtype=np.float64)
     vectors, _ = similarity._store.rows(ids)
     matrix = vectors.astype(np.float64)
-    sims = np.clip(matrix @ matrix.T, -1.0, 1.0)
+    sims = np.clip(np.einsum("ik,jk->ij", matrix, matrix), -1.0, 1.0)
     id_array = np.array(ids, dtype=object)
     sims[id_array[:, None] == id_array[None, :]] = 1.0
     return sims
@@ -481,10 +487,13 @@ def dense_concept_edges(
 ) -> List[Tuple[CandidateNode, CandidateNode, float]]:
     """Concept-concept edges from whole n x n arrays, in insertion order.
 
-    Each unordered pair keeps its first visit in row-major order (which
-    fixes its position and orientation) and the minimum weight over the
-    directions that visited it, read off n x n ``visited`` / ``final``
-    arrays.
+    Row i visits its first ``max_neighbours`` admissible columns in the
+    order of a stable argsort of its weights, that is by ``(w, j)``
+    (every admissible column, in ``j`` order, when ``max_neighbours`` is
+    None or at least n).  Each unordered pair keeps its first visit in
+    row-major order (which fixes its position and orientation) and the
+    minimum weight over the directions that visited it, read off n x n
+    ``visited`` / ``final`` arrays.
     """
     n = len(all_nodes)
     if n < 2:
@@ -535,7 +544,7 @@ def dense_concept_edges(
             np.nonzero(np.isfinite(weights[i]))[0] for i in range(n)
         ]
     else:
-        order = np.argsort(weights, axis=1)
+        order = np.argsort(weights, axis=1, kind="stable")
         neighbour_sets = [order[i, :max_neighbours] for i in range(n)]
 
     rows = np.repeat(np.arange(n), [len(s) for s in neighbour_sets])

@@ -1,24 +1,33 @@
 """Batched vs. scalar coherence construction: identical graphs, identical links.
 
 Pins the acceptance criterion of the vectorised hot path: building the
-coherence graph from one ``E @ E.T`` block instead of per-pair cosine
-calls (the :class:`tests.core.oracles.ScalarSimilarityIndex` oracle)
-must not change the graph, and end-to-end linking output must be
-byte-identical.  The row-blocked concept edge arrays must hold the
-edges the whole-matrix construction
-(:func:`tests.core.oracles.dense_concept_edges`) adds, in the same
-order, orientation and weight.
+coherence graph from one batched similarity block instead of per-pair
+cosine calls (the :class:`tests.core.oracles.ScalarSimilarityIndex`
+oracle) must not change the graph, and end-to-end linking output must
+be byte-identical.  The concept edge arrays of the per-group selection
+must hold the edges the whole-matrix construction
+(:func:`tests.core.oracles.dense_concept_edges`: n x n weights, then a
+stable argsort per row) adds, in the same order, orientation and
+weight, on pipeline documents and on generated documents of many
+sentences whose cross-sentence pairs go through the concept groups.
 """
 
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import coherence as coherence_module
 from repro.core.coherence import build_coherence_graph
 from repro.core.linker import LinkingContext, TenetLinker
 from repro.datasets.benchmarks import build_benchmark_suite
 from repro.datasets.generator import DocumentGenerator, DocumentSpec
+from repro.embeddings.similarity import SimilarityIndex
+from repro.embeddings.store import EmbeddingStore
+from repro.kb.alias_index import CandidateHit
+from repro.nlp.spans import Span, SpanKind
 from tests.core.oracles import (
     ScalarSimilarityIndex,
     concept_edge_triples,
@@ -142,3 +151,74 @@ class TestConceptEdgeSequence:
         linker = TenetLinker(context)
         for text in documents:
             self._assert_same_sequence(linker, text, max_neighbours)
+
+
+# Embedding rows with repeated, orthogonal and opposite directions: equal
+# similarities across concepts, and weights clipped at the distance cap.
+_PALETTE = [
+    np.array(v, dtype=np.float32)
+    for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [-1, 0, 0], [1, 1, 1])
+]
+
+
+@st.composite
+def sentence_graphs(draw):
+    """Documents of several sentences in token order, with concepts that
+    recur across sentences at equal priors (long runs of equal weight),
+    same-concept candidates and overlapping mentions inside a sentence,
+    predicates, and sometimes a mention reaching into the next sentence."""
+    concepts = [f"Q{i}" for i in range(draw(st.integers(2, 6)))]
+    store = EmbeddingStore(3)
+    for cid in concepts:
+        store.add(cid, draw(st.sampled_from(_PALETTE)))
+    mention_candidates = {}
+    token = 0
+    for sentence in range(draw(st.integers(1, 6))):
+        for _ in range(draw(st.integers(1, 5))):
+            text = draw(st.sampled_from(["Paris", "Lyon", "New York", "is in"]))
+            kind = SpanKind.RELATION if text == "is in" else SpanKind.NOUN
+            length = len(text.split())
+            span = Span(text, token, token + length, sentence, kind)
+            token += draw(st.integers(1, length))
+            chosen = draw(
+                st.lists(
+                    st.sampled_from(concepts), min_size=0, max_size=3, unique=True
+                )
+            )
+            mention_candidates[span] = [
+                CandidateHit(
+                    cid,
+                    draw(st.sampled_from([0.25, 0.5, 1.0])),
+                    "predicate" if kind is SpanKind.RELATION else "entity",
+                )
+                for cid in chosen
+            ]
+        token += draw(st.sampled_from([0, 1, 1, 1]))
+    options = dict(
+        max_concept_distance=draw(st.sampled_from([1.0, 0.9])),
+        coherence_prior_blend=draw(st.sampled_from([0.06, 0.0, -0.05])),
+        max_neighbours=draw(st.sampled_from([None, 1, 2, 3, 5])),
+    )
+    return mention_candidates, SimilarityIndex(store), options
+
+
+class TestGroupedSelection:
+    # Small documents weigh every pair directly; at 0 cells every
+    # document goes through units and concept groups, as large ones do.
+    @pytest.mark.parametrize(
+        "direct_cells", [0, coherence_module._DIRECT_CELLS]
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=sentence_graphs())
+    def test_matches_dense_stable_oracle(self, direct_cells, drawn):
+        mention_candidates, similarity, options = drawn
+        with mock.patch.object(
+            coherence_module, "_DIRECT_CELLS", direct_cells
+        ):
+            built = build_coherence_graph(
+                mention_candidates, similarity, **options
+            )
+        expected = dense_concept_edges(
+            built.candidate_nodes(), built.priors, similarity, **options
+        )
+        assert concept_edge_triples(built) == expected

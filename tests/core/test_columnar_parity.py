@@ -135,8 +135,18 @@ class TestCollidingGraphs:
 
 def assert_document_parity(linker, text):
     diagnostics = linker.link_detailed(text)
-    assert_scaffold_parity(diagnostics.coherence)
-    assert_pool_parity(diagnostics.coherence, diagnostics.cover)
+    coherence = diagnostics.coherence
+    config = linker.config
+    assert concept_edge_triples(coherence) == dense_concept_edges(
+        coherence.candidate_nodes(),
+        coherence.priors,
+        linker.similarity,
+        predicate_similarity_scale=config.predicate_similarity_scale,
+        coherence_prior_blend=config.coherence_prior_blend,
+        max_neighbours=config.coherence_max_neighbours,
+    )
+    assert_scaffold_parity(coherence)
+    assert_pool_parity(coherence, diagnostics.cover)
 
 
 class TestLongDocuments:

@@ -1,9 +1,9 @@
 """Batched similarity matrix vs. the scalar per-pair path.
 
-The satellite property of the vectorised hot path: for any embedding
-store, ``SimilarityIndex.batch_similarity`` must reproduce the scalar
-``similarity`` / ``1 - cosine`` values within 1e-9 — a single
-``E @ E.T`` block may not change the numbers, only the cost.
+For any embedding store, ``SimilarityIndex.batch_similarity`` must
+reproduce the scalar ``similarity`` / ``1 - cosine`` values within 1e-9
+— the batched block may not change the numbers, only the cost — and a
+pair's value must not depend on which other ids the call holds.
 """
 
 import numpy as np
@@ -129,3 +129,24 @@ class TestBatchSemantics:
     def test_batch_does_not_fill_pair_cache(self, index):
         index.batch_similarity(["a", "b"])
         assert index.cache_size == 0
+
+
+class TestPairValueIndependentOfCall:
+    """A pair's cell is a function of its two rows: the same bits in a
+    call over any subset of ids, in any order, of any size."""
+
+    @pytest.mark.parametrize("dimension", [7, 256])
+    def test_subsets_and_permutations_bit_for_bit(self, dimension):
+        rng = np.random.default_rng(dimension)
+        matrix = rng.standard_normal((400, dimension)).astype(np.float32)
+        ids, store = make_store(matrix)
+        index = SimilarityIndex(store)
+        full = index.batch_similarity(ids)
+        sizes = [2, 3, 24, 139, 192, 394, 400, *rng.integers(2, 401, size=13)]
+        for size in sizes:
+            pick = rng.permutation(len(ids))[:size]
+            block = index.batch_similarity([ids[p] for p in pick])
+            expected = full[np.ix_(pick, pick)]
+            assert np.array_equal(
+                block.view(np.uint64), expected.view(np.uint64)
+            ), size
